@@ -7,7 +7,6 @@ of a discrepancy by reconfiguring switches, and ranks the customers inside
 the localized area by anomaly score.
 """
 
-from ._kernel import BACKEND
 from .energize import (
     energized_after_opening,
     energized_from_incidence,
@@ -51,7 +50,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CustomerMeter",
     "Edge",
     "EdgeKind",

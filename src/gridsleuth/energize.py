@@ -1,26 +1,30 @@
 """Energization analysis of a switched network.
 
 The central operation: given the switch states, which nodes receive power
-from the substation sources? Everything else in the package (suspect sets,
-FRTU coverage, outage accounting) is phrased in terms of this vector.
+from the substation sources? That is reachability over closed switches,
+answered by one union-find labelling of the switched network. Everything
+else in the package (suspect sets, FRTU coverage, outage accounting) is
+phrased in terms of this vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernel import energize_fixed_point
 from .errors import NotABreakerError
-from .topology import EdgeKind, Topology, adjacency_from_incidence
+from .topology import EdgeKind, Topology, incidence_pairs, source_reachable
 
 
 def energized_from_incidence(
     incidence: np.ndarray, states: np.ndarray, sources: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Energized vector from raw matrices; returns (vector, sweep count)."""
-    adjacency = adjacency_from_incidence(incidence, states)
-    src = np.asarray(sources, dtype=np.uint8)
-    return energize_fixed_point(adjacency, src)
+) -> np.ndarray:
+    """Energized vector (uint8, one entry per incidence row) from raw matrices.
+
+    A node is energized when the closed columns connect it to a row whose
+    ``sources`` entry is nonzero.
+    """
+    pairs = incidence_pairs(incidence, states)
+    return source_reachable(np.asarray(incidence).shape[0], pairs, sources)
 
 
 def energized_nodes(
@@ -36,8 +40,7 @@ def energized_nodes(
         sources = topo.source_vector()
     else:
         sources = topo.check_node_flags(sources, "source")
-    vf, _ = energized_from_incidence(topo.incidence(), states, sources)
-    return vf
+    return source_reachable(topo.n_nodes, topo.closed_pairs(states), sources)
 
 
 def energized_after_opening(

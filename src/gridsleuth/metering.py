@@ -17,12 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .energize import energized_nodes, frtu_coverage
+from .energize import frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
 from .topology import (
     NodeKind,
     Topology,
-    closed_components,
+    fed_and_islands,
     load_topology,
     states_to_string,
 )
@@ -127,18 +127,13 @@ def simulate_interval(
             raise UnknownNodeError(
                 f"meter {m.meter_id} placed on non-load node {m.node}")
 
-    energized = energized_nodes(topo, states)
-    sources = {n.id for n in topo.nodes if n.kind is NodeKind.SOURCE}
-    island_nodes: set[int] = set()
-    for comp in closed_components(topo, states):
-        if not comp & sources and any(topo.node(i).has_dg for i in comp):
-            island_nodes |= comp
+    fed, islands = fed_and_islands(topo, states)
+    powered_nodes = fed.union(*islands)
 
     trues = _draw_true_loads(meters, seed, noise, index)
     readings: list[MeterReading] = []
     for m, true_kwh in zip(meters, trues):
-        powered = bool(energized[m.node - 1]) or m.node in island_nodes
-        if not powered:
+        if m.node not in powered_nodes:
             true_kwh = 0.0
         reported: float | None
         if m.tamper is None:

@@ -136,6 +136,12 @@ class Topology:
     def incidence(self) -> np.ndarray:
         return self._cached("incidence", lambda: incidence_matrix(self))
 
+    def closed_pairs(self, states: np.ndarray) -> list[list[int]]:
+        """Endpoints (0-based node positions) of the closed edges."""
+        return self._cached("ends", lambda: np.array(
+            [(e.u - 1, e.v - 1) for e in self.edges], dtype=np.intp
+        ).reshape(-1, 2))[np.asarray(states) != 0].tolist()
+
     def _cached(self, key: str, make) -> np.ndarray:
         arr = self._frozen_arrays.get(key)
         if arr is None:
@@ -272,13 +278,7 @@ def adjacency_from_incidence(incidence: np.ndarray, states: np.ndarray) -> np.nd
     resulting node-by-node matrix is binarized and its diagonal cleared, so
     the output is symmetric with zero diagonal whatever the input.
     """
-    inc = np.asarray(incidence, dtype=np.uint8)
-    st = np.asarray(states)
-    if inc.ndim != 2:
-        raise DimensionMismatchError(f"incidence matrix must be 2-d, got {inc.ndim}-d")
-    if st.shape != (inc.shape[1],):
-        raise DimensionMismatchError(
-            f"switch vector has shape {st.shape}, expected ({inc.shape[1]},)")
+    inc, st = _check_switched_incidence(incidence, states)
     masked = inc * st.astype(np.uint8)[np.newaxis, :]
     product = masked.astype(bool) @ masked.astype(bool).T
     adjacency = product.astype(np.uint8)
@@ -286,25 +286,85 @@ def adjacency_from_incidence(incidence: np.ndarray, states: np.ndarray) -> np.nd
     return adjacency
 
 
+def incidence_pairs(incidence: np.ndarray, states: np.ndarray) -> list[tuple[int, int]]:
+    """Node pairs (0-based rows) that the closed columns of an incidence join.
+
+    Each closed column links every row it flags, exactly the node pairs its
+    adjacency product would mark; consecutive flagged rows suffice to give
+    the same connectivity.
+    """
+    inc, st = _check_switched_incidence(incidence, states)
+    cols, rows = np.nonzero(inc[:, st != 0].T)
+    same_column = cols[1:] == cols[:-1]
+    return list(zip(rows[:-1][same_column].tolist(), rows[1:][same_column].tolist()))
+
+
+def _check_switched_incidence(
+    incidence: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    inc = np.asarray(incidence, dtype=np.uint8)
+    st = np.asarray(states)
+    if inc.ndim != 2:
+        raise DimensionMismatchError(f"incidence matrix must be 2-d, got {inc.ndim}-d")
+    if st.shape != (inc.shape[1],):
+        raise DimensionMismatchError(
+            f"switch vector has shape {st.shape}, expected ({inc.shape[1]},)")
+    return inc, st
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union_all(parent: list[int], pairs: Iterable[Sequence[int]]) -> bool:
+    """Join the sets of every pair in ``parent`` (Tarjan, JACM 1975).
+
+    Returns True when each pair joined two different sets, i.e. the pairs
+    closed no cycle.
+    """
+    acyclic = True
+    for u, v in pairs:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru == rv:
+            acyclic = False
+        else:
+            parent[ru] = rv
+    return acyclic
+
+
+def _component_roots(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
+    parent = list(range(n))
+    _union_all(parent, pairs)
+    return [_find(parent, i) for i in range(n)]
+
+
+def source_reachable(
+    n_nodes: int, pairs: Iterable[Sequence[int]], sources: np.ndarray
+) -> np.ndarray:
+    """0/1 flags of the nodes 0..n-1 that ``pairs`` connect to a source.
+
+    One union-find labelling: a node is reached when its component holds a
+    node whose ``sources`` entry is nonzero.
+    """
+    src = np.asarray(sources)
+    if src.shape != (n_nodes,):
+        raise DimensionMismatchError(
+            f"source vector has shape {src.shape}, expected ({n_nodes},)")
+    roots = _component_roots(n_nodes, pairs)
+    fed = {roots[i] for i in np.flatnonzero(src).tolist()}
+    return np.fromiter((r in fed for r in roots), dtype=np.uint8, count=n_nodes)
+
+
 def closed_components(topo: Topology, states: np.ndarray) -> list[set[int]]:
     """Connected components (as node-id sets) over closed edges only."""
     states = topo.check_states(states)
-    parent = list(range(topo.n_nodes + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j, edge in enumerate(topo.edges):
-        if states[j]:
-            ru, rv = find(edge.u), find(edge.v)
-            if ru != rv:
-                parent[ru] = rv
     groups: dict[int, set[int]] = {}
-    for node in topo.nodes:
-        groups.setdefault(find(node.id), set()).add(node.id)
+    for i, root in enumerate(_component_roots(topo.n_nodes, topo.closed_pairs(states))):
+        groups.setdefault(root, set()).add(i + 1)
     return list(groups.values())
 
 
@@ -316,29 +376,31 @@ def _has_cycle(topo: Topology, states: np.ndarray, collapse_sources: bool) -> bo
     upstream, so a source-to-source path already parallels two feeders and
     counts as a loop.
     """
-    parent = list(range(topo.n_nodes + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(topo.n_nodes))
     if collapse_sources:
-        root = None
-        for node in topo.nodes:
-            if node.kind is NodeKind.SOURCE:
-                if root is None:
-                    root = node.id
-                else:
-                    parent[find(node.id)] = find(root)
-    for j, edge in enumerate(topo.edges):
-        if states[j]:
-            ru, rv = find(edge.u), find(edge.v)
-            if ru == rv:
-                return True
-            parent[ru] = rv
-    return False
+        sources = np.flatnonzero(topo.source_vector()).tolist()
+        _union_all(parent, ((s, sources[0]) for s in sources[1:]))
+    return not _union_all(parent, topo.closed_pairs(states))
+
+
+def fed_and_islands(
+    topo: Topology, states: np.ndarray
+) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+    """Substation-fed nodes and DG islands of one switch state.
+
+    Both come from one component labelling. An island is a source-less
+    component holding a DG; islands are ordered by their smallest node id.
+    """
+    sources = {n.id for n in topo.nodes if n.kind is NodeKind.SOURCE}
+    fed: set[int] = set()
+    islands: list[frozenset[int]] = []
+    for comp in closed_components(topo, states):
+        if comp & sources:
+            fed |= comp
+        elif any(topo.node(i).has_dg for i in comp):
+            islands.append(frozenset(comp))
+    islands.sort(key=min)
+    return frozenset(fed), tuple(islands)
 
 
 def validate_operating_state(
@@ -350,28 +412,16 @@ def validate_operating_state(
     feeders counts), de-energized loads, and DG islands. A de-energized
     load inside a DG island is microgrid-supplied and not a violation.
     """
-    from .energize import energized_nodes  # local import breaks the module cycle
-
     states = topo.check_states(states)
     has_loop = _has_cycle(topo, states, collapse_sources=True)
 
-    energized = energized_nodes(topo, states)
-    islands: list[frozenset[int]] = []
-    island_nodes: set[int] = set()
-    sources = {n.id for n in topo.nodes if n.kind is NodeKind.SOURCE}
-    for comp in closed_components(topo, states):
-        if comp & sources:
-            continue
-        if any(topo.node(i).has_dg for i in comp):
-            islands.append(frozenset(comp))
-            island_nodes |= comp
-    islands.sort(key=min)
-
+    fed, islands = fed_and_islands(topo, states)
+    island_nodes = set().union(*islands)
     dark_loads = tuple(
         n.id
         for n in topo.nodes
         if n.kind is NodeKind.LOAD
-        and not energized[n.id - 1]
+        and n.id not in fed
         and n.id not in island_nodes
     )
 
@@ -383,7 +433,7 @@ def validate_operating_state(
     return OperatingState(
         has_loop=has_loop,
         dark_loads=dark_loads,
-        dg_islands=tuple(islands),
+        dg_islands=islands,
         violations=tuple(violations),
     )
 

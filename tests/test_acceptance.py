@@ -128,11 +128,11 @@ def test_criterion_5_kernel_matches_bfs_on_fuzzed_networks():
             incidence[v, j] = 1
         states = rng.integers(0, 2, size=len(edges)).astype(np.uint8)
         sources = rng.integers(0, 2, size=n).astype(np.uint8)
-        vf, _ = energized_from_incidence(incidence, states, sources)
+        vf = energized_from_incidence(incidence, states, sources)
         if not np.array_equal(vf, _bfs_energized(n, edges, states, sources)):
             mismatches += 1
     assert mismatches == 0
-    _ok(5, "fixed-point kernel agreed with BFS on 1000 fuzzed networks")
+    _ok(5, "incidence energization agreed with BFS on 1000 fuzzed networks")
 
 
 def test_criterion_6_detection_threshold_grid():
@@ -217,8 +217,9 @@ def test_criterion_8_no_committed_state_darkens_a_load():
 def test_criterion_9_scope_note():
     # There is no published quantitative baseline to reproduce beyond the
     # worked example, so the gate is criteria 1-8 plus the documented
-    # benchmark script; this criterion just pins that scope.
+    # benchmark; this criterion just pins that scope.
     assert (REPO / "README.md").is_file()
-    assert (REPO / "benchmarks" / "bench_kernels.py").is_file()
+    assert (REPO / "perfbench" / "run.py").is_file()
+    assert (REPO / "BENCHMARK.json").is_file()
     _ok(9, "no external quantitative baseline exists; gate is criteria 1-8 "
-           "(README and benchmark script present)")
+           "(README, perfbench/run.py and BENCHMARK.json present)")

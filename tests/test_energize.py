@@ -1,12 +1,10 @@
-"""Energization kernels against an independent reachability oracle."""
+"""Energization against an independent reachability oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsleuth import _energize_py
-from gridsleuth._kernel import BACKEND
 from gridsleuth.energize import (
     energized_after_opening,
     energized_from_incidence,
@@ -14,18 +12,15 @@ from gridsleuth.energize import (
     frtu_coverage,
     suspect_nodes,
 )
-from gridsleuth.errors import NotABreakerError
+from gridsleuth.errors import DimensionMismatchError, NotABreakerError
 from gridsleuth.networks import ct8
-from gridsleuth.topology import states_from_string
+from gridsleuth.topology import NodeKind, states_from_string
 
-try:
-    from gridsleuth import _energize_c
-except ImportError:
-    _energize_c = None
+from episode_fuzz import make_episode
 
 
 def bfs_reachable(topo, states, sources):
-    """Plain adjacency-list flood fill; shares no code with the kernels."""
+    """Plain adjacency-list flood fill; shares no code with the package."""
     neighbors = {n.id: [] for n in topo.nodes}
     for j, e in enumerate(topo.edges):
         if states[j]:
@@ -85,13 +80,6 @@ def test_frtu_coverage_normal_and_reconfigured():
     assert shifted == {"FRTU_1": {2, 3, 4, 5}, "FRTU_2": {7}}
 
 
-def test_iteration_count_bounded_by_node_count():
-    t = ct8()
-    _, iters = energized_from_incidence(
-        t.incidence(), t.normal_states(), t.source_vector())
-    assert iters <= t.n_nodes + 1
-
-
 @st.composite
 def random_network(draw):
     """Arbitrary graph with random switch states and sources.
@@ -144,26 +132,9 @@ def incidence_of(n, pairs):
 def test_kernel_matches_bfs_oracle(net):
     n, pairs, states, sources = net
     inc = incidence_of(n, pairs)
-    vf, iters = energized_from_incidence(inc, states, sources)
+    vf = energized_from_incidence(inc, states, sources)
     expect = bfs_reachable(_Stub(n, pairs), states, sources)
     assert vf.tolist() == expect.tolist()
-    assert iters <= n + 1
-
-
-@given(random_network())
-@settings(max_examples=100, deadline=None)
-def test_backends_agree(net):
-    if _energize_c is None:
-        pytest.skip("compiled kernel not built")
-    n, pairs, states, sources = net
-    inc = incidence_of(n, pairs)
-    from gridsleuth.topology import adjacency_from_incidence
-
-    adj = adjacency_from_incidence(inc, states)
-    vf_py, it_py = _energize_py.energize_fixed_point(adj, sources)
-    vf_c, it_c = _energize_c.energize_fixed_point(adj, sources)
-    assert vf_py.tolist() == list(vf_c)
-    assert it_py == it_c
 
 
 @given(random_network())
@@ -171,13 +142,12 @@ def test_backends_agree(net):
 def test_energized_set_contains_sources_and_is_fixed(net):
     n, pairs, states, sources = net
     inc = incidence_of(n, pairs)
-    vf, _ = energized_from_incidence(inc, states, sources)
+    vf = energized_from_incidence(inc, states, sources)
     # Sources stay energized.
     assert np.all(vf >= sources)
-    # Running the kernel again from the result changes nothing.
-    vf2, iters2 = energized_from_incidence(inc, states, vf)
+    # Energizing again from the result changes nothing.
+    vf2 = energized_from_incidence(inc, states, vf)
     assert vf2.tolist() == vf.tolist()
-    assert iters2 <= n + 1
 
 
 @given(random_network())
@@ -185,10 +155,10 @@ def test_energized_set_contains_sources_and_is_fixed(net):
 def test_energization_monotone_in_sources(net):
     n, pairs, states, sources = net
     inc = incidence_of(n, pairs)
-    vf_small, _ = energized_from_incidence(inc, states, sources)
+    vf_small = energized_from_incidence(inc, states, sources)
     more = sources.copy()
     more[0] = 1
-    vf_big, _ = energized_from_incidence(inc, states, more)
+    vf_big = energized_from_incidence(inc, states, more)
     assert np.all(vf_big >= vf_small)
 
 
@@ -197,11 +167,51 @@ def test_energization_monotone_in_sources(net):
 def test_energization_monotone_in_closed_edges(net):
     n, pairs, states, sources = net
     inc = incidence_of(n, pairs)
-    vf_before, _ = energized_from_incidence(inc, states, sources)
+    vf_before = energized_from_incidence(inc, states, sources)
     closed = np.ones_like(states)
-    vf_after, _ = energized_from_incidence(inc, closed, sources)
+    vf_after = energized_from_incidence(inc, closed, sources)
     assert np.all(vf_after >= vf_before)
 
 
-def test_backend_identifier_is_sane():
-    assert BACKEND in ("c", "python")
+def test_incidence_must_be_two_dimensional():
+    with pytest.raises(DimensionMismatchError):
+        energized_from_incidence(
+            np.ones(3, dtype=np.uint8), np.ones(3, dtype=np.uint8),
+            np.ones(3, dtype=np.uint8))
+
+
+def test_incidence_states_must_match_columns():
+    t = ct8()
+    with pytest.raises(DimensionMismatchError):
+        energized_from_incidence(
+            t.incidence(), np.ones(t.n_edges - 1, dtype=np.uint8), t.source_vector())
+
+
+def test_incidence_sources_must_match_rows():
+    t = ct8()
+    with pytest.raises(DimensionMismatchError):
+        energized_from_incidence(
+            t.incidence(), t.normal_states(), np.ones(t.n_nodes + 1, dtype=np.uint8))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_topology_path_matches_bfs_oracle(seed, rnd):
+    topo = make_episode(seed).topology
+    states = np.array([rnd.randint(0, 1) for _ in topo.edges], dtype=np.uint8)
+    for sources in (topo.source_vector(), topo.dg_vector()):
+        vf = energized_nodes(topo, states, sources)
+        assert vf.tolist() == bfs_reachable(topo, states, sources).tolist()
+
+    # A load is covered by an FRTU when opening only that breaker darkens it.
+    base = bfs_reachable(topo, states, topo.source_vector())
+    expect = {}
+    for edge_id, frtu in topo.frtu_map.items():
+        opened = states.copy()
+        opened[edge_id - 1] = 0
+        after = bfs_reachable(topo, opened, topo.source_vector())
+        expect[frtu] = {
+            n.id for n in topo.nodes
+            if n.kind is NodeKind.LOAD and base[n.id - 1] and not after[n.id - 1]
+        }
+    assert frtu_coverage(topo, states) == expect
