@@ -2,9 +2,9 @@
 
 The central operation: given the switch states, which nodes receive power
 from the substation sources? That is reachability over closed switches,
-answered by one union-find labelling of the switched network. Everything
-else in the package (suspect sets, FRTU coverage, outage accounting) is
-phrased in terms of this vector.
+answered by one union-find labelling of the switched network. Suspect sets
+and outage accounting are phrased in terms of this vector; FRTU coverage
+labels the closed non-breaker edges once and reads every feeder off that.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotABreakerError
-from .topology import EdgeKind, Topology, incidence_pairs, source_reachable
+from .topology import (
+    EdgeKind,
+    Topology,
+    component_roots,
+    incidence_pairs,
+    source_reachable,
+)
 
 
 def energized_from_incidence(
@@ -79,15 +85,31 @@ def frtu_coverage(topo: Topology, states: np.ndarray) -> dict[str, frozenset[int
 
     A node is covered by an FRTU when opening that breaker (and nothing
     else) de-energizes it: the node's power flows through that feeder head.
+    One labelling of the closed non-breaker edges answers this for every
+    breaker at once, for any switch vector, loops included. The only closed
+    edges leaving such a section are breakers, and each leads straight to a
+    source. So a load depends on breaker b alone exactly when its section
+    holds no source and b is the section's only closed breaker.
     """
     states = topo.check_states(states)
-    base = energized_nodes(topo, states)
-    coverage: dict[str, frozenset[int]] = {}
-    for edge_id, frtu in sorted(topo.frtu_map.items()):
-        after = energized_after_opening(topo, states, edge_id)
-        lost = (base == 1) & (after == 0)
-        coverage[frtu] = frozenset(
-            int(i) + 1 for i in np.flatnonzero(lost)
-            if topo.node(int(i) + 1).kind.value == "load"
-        )
-    return coverage
+    breakers = sorted(topo.frtu_map)
+    sections = states.copy()
+    sections[[eid - 1 for eid in breakers]] = 0
+    roots = component_roots(topo, sections)
+    fed = {roots[i] for i in np.flatnonzero(topo.source_vector()).tolist()}
+    feeding: dict[int, set[int]] = {}
+    for eid in breakers:
+        if states[eid - 1]:
+            edge = topo.edge(eid)
+            for end in (edge.u, edge.v):
+                feeding.setdefault(roots[end - 1], set()).add(eid)
+    only = {
+        root: next(iter(eids))
+        for root, eids in feeding.items() if len(eids) == 1 and root not in fed
+    }
+    covered: dict[int, list[int]] = {eid: [] for eid in breakers}
+    for node in topo.load_ids:
+        eid = only.get(roots[node - 1])
+        if eid is not None:
+            covered[eid].append(node)
+    return {topo.frtu_map[eid]: frozenset(covered[eid]) for eid in breakers}

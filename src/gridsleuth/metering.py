@@ -20,7 +20,6 @@ import numpy as np
 from .energize import frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
 from .topology import (
-    NodeKind,
     Topology,
     fed_and_islands,
     load_topology,
@@ -121,9 +120,10 @@ def simulate_interval(
     consume nothing. Tampering affects only the reported value.
     """
     states = topo.check_states(states)
+    loads = topo.load_ids
     for m in meters:
-        node = topo.node(m.node)
-        if node.kind is not NodeKind.LOAD:
+        if m.node not in loads:
+            topo.node(m.node)  # an id outside the network raises InvalidIdError
             raise UnknownNodeError(
                 f"meter {m.meter_id} placed on non-load node {m.node}")
 

@@ -11,13 +11,22 @@ nodes resolved as tampered. Every alarm reading raises an obligation, the
 coverage that must contain at least one tampered node; an obligation is
 discharged once it contains a member of ``T``, and if exonerations ever
 empty an undischarged obligation the telemetry contradicts itself.
+
+Each switch state is labelled once: the planner keeps every FRTU's
+coverage per distinct state it visits. Load transfers are branch
+exchanges (Civanlar et al., 1988; Baran & Wu, 1989): close an open tie
+(u, v), then open a sectionalizer s on the loop it makes. In the rooted
+tree of a radial state, with the sources collapsed into a virtual root,
+that loop is the tree path u -> LCA -> v, and opening s moves exactly the
+subtree below s from its feeder to the feeder of the tie's far end. So
+every candidate move is scored from subtree counts, without building or
+validating the state it would land on.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -241,6 +250,106 @@ def restore_island_ops(island: IslandRecord) -> tuple[tuple[str, int], ...]:
     )
 
 
+def _alarm_bit(reply: Mapping[str, bool], frtu: str, key: str) -> bool:
+    """One FRTU's alarm bit from an oracle reply; a missing FRTU is an error."""
+    try:
+        return bool(reply[frtu])
+    except KeyError:
+        raise OracleInconsistentError(
+            f"oracle reply for switch states {key} has no reading for {frtu}") from None
+
+
+def _split_score(inside: int, tampered: int, n_suspects: int) -> float | None:
+    """How far a reading covering ``inside`` of the suspects is from halving them.
+
+    None when the reading cannot narrow the obligation: it covers none of
+    the suspects or all of them, or it covers a node already resolved as
+    tampered.
+    """
+    if tampered or not 0 < inside < n_suspects:
+        return None
+    return abs(inside - n_suspects / 2)
+
+
+@dataclass(frozen=True)
+class _RadialTree:
+    """A radial switch state as a rooted forest, indexed by node id.
+
+    The sources hang off a virtual root, node 0, so every fed node
+    descends from it; a source-less component (a DG island) is rooted at
+    its smallest node. ``parent_edge`` is 0 above a source and a root,
+    ``feeder`` is the breaker heading a node's feeder (0 for none),
+    ``comp`` is the root of its component, and ``order`` lists parents
+    before their children.
+    """
+
+    parent: list[int]
+    parent_edge: list[int]
+    depth: list[int]
+    feeder: list[int]
+    comp: list[int]
+    order: list[int]
+
+    @classmethod
+    def build(cls, topo: Topology, states: np.ndarray) -> "_RadialTree":
+        size = topo.n_nodes + 1
+        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(size)]
+        for e in topo.edges:
+            if states[e.id - 1]:
+                breaker = e.kind is EdgeKind.BREAKER
+                adj[e.u].append((e.v, e.id, breaker))
+                adj[e.v].append((e.u, e.id, breaker))
+        adj[0] = [(n.id, 0, False) for n in topo.nodes if n.kind is NodeKind.SOURCE]
+        parent, parent_edge = [-1] * size, [0] * size
+        depth, feeder, comp = [0] * size, [0] * size, [-1] * size
+        order: list[int] = []
+        for root in range(size):
+            if comp[root] >= 0:
+                continue
+            comp[root] = root
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                x = order[head]
+                head += 1
+                for y, eid, breaker in adj[x]:
+                    if comp[y] >= 0:
+                        continue
+                    comp[y] = root
+                    parent[y], parent_edge[y], depth[y] = x, eid, depth[x] + 1
+                    feeder[y] = eid if breaker else feeder[x]
+                    order.append(y)
+        return cls(parent, parent_edge, depth, feeder, comp, order)
+
+    def count_below(self, members: Iterable[int]) -> list[int]:
+        """Per node, how many of ``members`` lie in its subtree."""
+        below = [0] * len(self.parent)
+        for x in members:
+            below[x] = 1
+        for x in reversed(self.order):
+            if self.parent[x] >= 0:
+                below[self.parent[x]] += below[x]
+        return below
+
+    def loop(self, u: int, v: int) -> Iterator[tuple[int, int, int]]:
+        """Tree edges on the loop that closing an edge (u, v) would make.
+
+        Yields (edge id, node below it, the endpoint it would be fed from)
+        for each edge of the path u -> LCA -> v; edge id 0 is a link to the
+        virtual root. Nothing when u and v lie in different components.
+        """
+        if self.comp[u] != self.comp[v]:
+            return
+        a, b = u, v
+        while a != b:
+            if self.depth[a] >= self.depth[b]:
+                yield self.parent_edge[a], a, v
+                a = self.parent[a]
+            else:
+                yield self.parent_edge[b], b, u
+                b = self.parent[b]
+
+
 class _Planner:
     """Mutable state of one localization run."""
 
@@ -265,7 +374,9 @@ class _Planner:
         self.exonerated: set[int] = set()
         self.tampered: set[int] = set()
         self.obligations: list[_Obligation] = []
-        self.consulted: dict[tuple[str, str], bool] = {}
+        # Alarm bits already read, by switch-state string, then FRTU.
+        self.consulted: dict[str, dict[str, bool]] = {}
+        self.coverages: dict[str, dict[str, frozenset[int]]] = {}
         self.actions: list[SwitchingAction] = []
         self.checks: list[FrtuCheck] = []
         self.history: list[tuple[int, ...]] = []
@@ -284,12 +395,20 @@ class _Planner:
         Returns (alarm, fresh). Only a fresh read counts as a check; a
         pair already read at this exact configuration is just replayed.
         """
-        key = (states_to_string(self.states), frtu)
-        if key in self.consulted:
-            return self.consulted[key], False
-        alarm = bool(self.oracle(self.states)[frtu])
-        self.consulted[key] = alarm
+        key = states_to_string(self.states)
+        reads = self.consulted.setdefault(key, {})
+        if frtu in reads:
+            return reads[frtu], False
+        alarm = _alarm_bit(self.oracle(self.states), frtu, key)
+        reads[frtu] = alarm
         return alarm, True
+
+    def coverage(self) -> dict[str, frozenset[int]]:
+        """Every FRTU's coverage at the current states, computed once per state."""
+        key = states_to_string(self.states)
+        if key not in self.coverages:
+            self.coverages[key] = frtu_coverage(self.topo, self.states)
+        return self.coverages[key]
 
     def record_check(self, frtu: str, alarm: bool) -> None:
         self.checks.append(
@@ -394,7 +513,7 @@ class _Planner:
         Catches a second tampered feeder once the first explanation lands.
         Reads already taken at this configuration are replayed for free.
         """
-        coverage = frtu_coverage(self.topo, self.states)
+        coverage = self.coverage()
         for frtu in sorted(coverage):
             alarm, fresh = self.consult(frtu)
             if fresh:
@@ -405,27 +524,27 @@ class _Planner:
     # --- check and move selection ------------------------------------
 
     def informative_checks(
-        self, suspects: frozenset[int], coverage: Mapping[str, frozenset[int]]
+        self,
+        suspects: frozenset[int],
+        coverage: Mapping[str, frozenset[int]],
+        read: Mapping[str, bool],
     ) -> list[tuple[float, str]]:
         """FRTUs whose reading would split the suspect set, best first.
 
         A useful coverage cuts the suspects properly (neither none nor all)
         and contains no already-resolved node, so either answer narrows the
-        obligation. Reads already taken here are excluded: their result is
-        folded in and re-reading cannot move anything.
+        obligation. FRTUs in ``read``, already read at these states, are
+        excluded: their result is folded in and re-reading cannot move
+        anything.
         """
-        key = states_to_string(self.states)
         out: list[tuple[float, str]] = []
         for frtu, cov in coverage.items():
-            if (key, frtu) in self.consulted:
+            if frtu in read:
                 continue
-            if cov & self.tampered:
-                continue
-            inside = cov & suspects
-            if not inside or inside == suspects:
-                continue
-            score = abs(len(inside) - len(suspects) / 2)
-            out.append((score, frtu))
+            score = _split_score(len(cov & suspects), len(cov & self.tampered),
+                                 len(suspects))
+            if score is not None:
+                out.append((score, frtu))
         out.sort(key=lambda sf: (sf[0], self._frtu_rank(sf[1])))
         return out
 
@@ -434,8 +553,8 @@ class _Planner:
 
     def best_check(self, ob: _Obligation) -> str | None:
         suspects = ob.active(self.exonerated)
-        coverage = frtu_coverage(self.topo, self.states)
-        ranked = self.informative_checks(suspects, coverage)
+        read = self.consulted.get(states_to_string(self.states), {})
+        ranked = self.informative_checks(suspects, self.coverage(), read)
         if not ranked:
             return None
         best_score = ranked[0][0]
@@ -452,83 +571,98 @@ class _Planner:
         return out
 
     def find_move(self, ob: _Obligation) -> tuple[int, int] | None:
-        """Search (close, open) reconfigurations that enable a split.
+        """Pick the (close, open) branch exchange that best enables a split.
 
-        Closing an open non-breaker edge loops two powered paths together;
-        opening a closed sectionalizer on that loop re-radializes with some
-        customers moved to the other feeder head. A move is kept only if
-        the landing state passes validation and some FRTU then splits the
-        obligation. Returns (edge_to_close, edge_to_open) or None.
+        Closing an open non-breaker edge (u, v) loops two powered paths
+        together; opening a closed sectionalizer s on that loop re-radializes
+        the network. In the current state's rooted tree the loop is the path
+        u -> LCA -> v, and opening s moves exactly the subtree below s onto
+        the feeder of the other endpoint. Every such pair lands on a radial
+        state that feeds every load, so it needs no validation. Its FRTU
+        coverages differ from today's only by that subtree, so each pair is
+        scored from subtree counts of suspects and resolved nodes. A pair
+        counts only if some FRTU not yet read at its landing state would
+        then split the obligation; the lowest (split score, s, edge to
+        close) wins. Returns (edge_to_close, edge_to_open) or None.
         """
         suspects = ob.active(self.exonerated)
         frozen = self.island_nodes()
+        counts = {
+            frtu: (len(cov & suspects), len(cov & self.tampered))
+            for frtu, cov in self.coverage().items()
+        }
+        tree = _RadialTree.build(self.topo, self.states)
+        suspects_below = tree.count_below(suspects)
+        tampered_below = tree.count_below(self.tampered)
+        read_after = self.reads_one_move_away()
         best: tuple[float, int, int] | None = None
         for cand in self.topo.edges:
             if self.states[cand.id - 1] or cand.kind is EdgeKind.BREAKER:
                 continue
             if cand.u in frozen or cand.v in frozen:
                 continue
-            cycle = self._cycle_sectionalizers(cand)
-            for sec in cycle:
-                trial = self.states.copy()
-                trial[cand.id - 1] = 1
-                trial[sec - 1] = 0
-                if not validate_operating_state(self.topo, trial).ok:
+            for sec, below, far in tree.loop(cand.u, cand.v):
+                if not sec or self.topo.edges[sec - 1].kind is not EdgeKind.SECTIONALIZER:
                     continue
-                coverage = frtu_coverage(self.topo, trial)
-                saved = self.states
-                self.states = trial
-                ranked = self.informative_checks(suspects, coverage)
-                self.states = saved
-                if not ranked:
+                score = self._move_score(
+                    counts, len(suspects), tree.feeder[below], tree.feeder[far],
+                    suspects_below[below], tampered_below[below],
+                    read_after.get((cand.id, sec), {}))
+                if score is None:
                     continue
-                entry = (ranked[0][0], sec, cand.id)
+                entry = (score, sec, cand.id)
                 if best is None or entry < best:
                     best = entry
         if best is None:
             return None
         return best[2], best[1]
 
-    def _cycle_sectionalizers(self, cand) -> list[int]:
-        """Closed sectionalizers on the loop that closing ``cand`` creates.
+    def _move_score(
+        self,
+        counts: Mapping[str, tuple[int, int]],
+        n_suspects: int,
+        src: int,
+        dst: int,
+        moved_suspects: int,
+        moved_tampered: int,
+        read: Mapping[str, bool],
+    ) -> float | None:
+        """Best split score after a subtree moves from feeder ``src`` to ``dst``.
 
-        Substation sources collapse into one virtual vertex, so a path
-        running source-to-source through the grid counts as part of the
-        loop. Edges via the virtual vertex are breaker stubs, never
-        returned.
+        ``counts`` holds each FRTU's (suspects, resolved nodes) covered now;
+        feeders are breaker edge ids, 0 for none.
         """
-        n = self.topo.n_nodes
-        virtual = 0
-        adj: dict[int, list[tuple[int, int | None]]] = {i: [] for i in range(n + 1)}
-        for e in self.topo.edges:
-            if not self.states[e.id - 1] or e.id == cand.id:
+        best: float | None = None
+        for frtu, (inside, tampered) in counts.items():
+            if frtu in read:
                 continue
-            adj[e.u].append((e.v, e.id))
-            adj[e.v].append((e.u, e.id))
-        for node in self.topo.nodes:
-            if node.kind is NodeKind.SOURCE:
-                adj[virtual].append((node.id, None))
-                adj[node.id].append((virtual, None))
-        start, goal = cand.u, cand.v
-        prev: dict[int, tuple[int, int | None]] = {start: (start, None)}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            if cur == goal:
-                break
-            for nxt, eid in adj[cur]:
-                if nxt not in prev:
-                    prev[nxt] = (cur, eid)
-                    queue.append(nxt)
-        if goal not in prev:
-            return []
-        out: list[int] = []
-        cur = goal
-        while cur != start:
-            cur, eid = prev[cur]
-            if eid is not None and self.topo.edge(eid).kind is EdgeKind.SECTIONALIZER:
-                out.append(eid)
-        return sorted(out)
+            eid = self.topo.frtu_edges[frtu]
+            if eid == src:
+                inside -= moved_suspects
+                tampered -= moved_tampered
+            if eid == dst:
+                inside += moved_suspects
+                tampered += moved_tampered
+            score = _split_score(inside, tampered, n_suspects)
+            if score is not None and (best is None or score < best):
+                best = score
+        return best
+
+    def reads_one_move_away(self) -> dict[tuple[int, int], dict[str, bool]]:
+        """Reads taken at states one branch exchange from the current one.
+
+        Keyed by (edge closed, edge opened) relative to the current states.
+        """
+        here = self.states
+        out: dict[tuple[int, int], dict[str, bool]] = {}
+        for key, reads in self.consulted.items():
+            there = np.frombuffer(key.encode("ascii"), dtype=np.uint8) - ord("0")
+            diff = np.flatnonzero(there != here)
+            closed = diff[here[diff] == 0]
+            opened = diff[here[diff] == 1]
+            if len(closed) == 1 and len(opened) == 1:
+                out[(int(closed[0]) + 1, int(opened[0]) + 1)] = reads
+        return out
 
     def find_restoration(self) -> IslandRecord | None:
         """Pick an island to fold back into the grid when progress stalls.
@@ -549,7 +683,7 @@ class _Planner:
             f"restore island {sorted(island.nodes)} to discriminate suspects")
         self.commit_group(restore_island_ops(island))
         island.restored = True
-        coverage = frtu_coverage(self.topo, self.states)
+        coverage = self.coverage()
         covering = [
             frtu for frtu, cov in sorted(coverage.items()) if cov & island.nodes
         ]
@@ -590,13 +724,14 @@ class _Planner:
 
         # Continuous telemetry: every FRTU's alarm bit is already on the
         # operator's board before any switching, so this sweep is free.
-        coverage0 = frtu_coverage(self.topo, self.states)
+        coverage0 = self.coverage()
         readings0 = self.oracle(self.states)
         key0 = states_to_string(self.states)
+        reads0 = self.consulted.setdefault(key0, {})
         for frtu in sorted(coverage0):
-            alarm = bool(readings0[frtu])
+            alarm = _alarm_bit(readings0, frtu, key0)
             self.initial_alarms[frtu] = alarm
-            self.consulted[(key0, frtu)] = alarm
+            reads0[frtu] = alarm
         if not self.initial_alarms.get(self.alarm_frtu, False):
             # Telemetry is quiet on the requested feeder: nothing to chase.
             self.log.append(
@@ -630,11 +765,10 @@ class _Planner:
                 break
             frtu = self.best_check(ob)
             if frtu is not None:
-                coverage = frtu_coverage(self.topo, self.states)
                 alarm, fresh = self.consult(frtu)
                 if fresh:
                     self.record_check(frtu, alarm)
-                    self.process_reading(frtu, alarm, coverage[frtu])
+                    self.process_reading(frtu, alarm, self.coverage()[frtu])
                 self.snapshot()
                 continue
             move = self.find_move(ob)

@@ -118,6 +118,10 @@ class Topology:
     def frtu_edges(self) -> dict[str, int]:
         return {frtu: eid for eid, frtu in self.frtu_map.items()}
 
+    @cached_property
+    def load_ids(self) -> frozenset[int]:
+        return frozenset(n.id for n in self.nodes if n.kind is NodeKind.LOAD)
+
     def normal_states(self) -> np.ndarray:
         """Switch vector of the normal operating state (ties open)."""
         return self._cached("normal", lambda: np.array(
@@ -359,11 +363,19 @@ def source_reachable(
     return np.fromiter((r in fed for r in roots), dtype=np.uint8, count=n_nodes)
 
 
+def component_roots(topo: Topology, states: np.ndarray) -> list[int]:
+    """Component label of every node (by position) over closed edges only.
+
+    Two nodes share a label exactly when closed edges connect them; a
+    label is the position of one node of its component.
+    """
+    return _component_roots(topo.n_nodes, topo.closed_pairs(topo.check_states(states)))
+
+
 def closed_components(topo: Topology, states: np.ndarray) -> list[set[int]]:
     """Connected components (as node-id sets) over closed edges only."""
-    states = topo.check_states(states)
     groups: dict[int, set[int]] = {}
-    for i, root in enumerate(_component_roots(topo.n_nodes, topo.closed_pairs(states))):
+    for i, root in enumerate(component_roots(topo, states)):
         groups.setdefault(root, set()).add(i + 1)
     return list(groups.values())
 

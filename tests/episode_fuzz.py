@@ -1,10 +1,13 @@
-"""Seeded random localization episodes for fuzz suites.
+"""Seeded random networks and localization episodes for fuzz suites.
 
-Each episode is a two-feeder network in the shape of the reference grid:
-two chains hanging off their own substations, one normally-open tie from
-somewhere on feeder A to the far end of feeder B, at most one DG customer
-placed so the island cut is always re-feedable, and exactly one tampered
-meter reporting zero.
+``make_episode`` builds a two-feeder network in the shape of the reference
+grid: two chains hanging off their own substations, one normally-open tie
+from somewhere on feeder A to the far end of feeder B, at most one DG
+customer placed so the island cut is always re-feedable, and exactly one
+tampered meter reporting zero.
+
+``make_mesh`` builds a 3-4 feeder mesh: a random tree per feeder, joined
+by normally-open ties, with DG customers on leaves.
 """
 
 from dataclasses import dataclass
@@ -106,3 +109,56 @@ def make_episode(seed: int) -> Episode:
         dg_node=dg_node,
         seed=seed,
     )
+
+
+def make_mesh(seed: int) -> Topology:
+    """Random radial mesh of 3-4 feeders, 12-40 loads, 2-5 ties, 0-2 DG leaves.
+
+    Sources take ids 1..F and each heads one feeder through a breaker; the
+    loads of a feeder form a random tree. Most ties join two feeders, and
+    some close a loop inside one. A DG sits only on a leaf that no tie
+    touches, so islanding it never strands a load.
+    """
+    rng = np.random.default_rng([977, seed])
+    n_feeders = int(rng.integers(3, 5))
+    n_loads = int(rng.integers(4 * n_feeders, 41))
+    nodes = [{"id": f + 1, "kind": "source"} for f in range(n_feeders)]
+    edges: list[dict] = []
+
+    def add_edge(kind: str, u: int, v: int) -> None:
+        edges.append({"id": len(edges) + 1, "kind": kind, "from": u, "to": v})
+
+    feeder_of: dict[int, int] = {}
+    children: dict[int, int] = {}
+    for k in range(n_loads):
+        nid = n_feeders + 1 + k
+        f = k % n_feeders
+        nodes.append({"id": nid, "kind": "load"})
+        members = [n for n, g in feeder_of.items() if g == f]
+        if not members:
+            add_edge("breaker", f + 1, nid)
+        else:
+            up = members[int(rng.integers(len(members)))]
+            children[up] = children.get(up, 0) + 1
+            add_edge("sectionalizer", up, nid)
+        feeder_of[nid] = f
+    loads = sorted(feeder_of)
+    joined = {frozenset((e["from"], e["to"])) for e in edges}
+    tied: set[int] = set()
+    for _ in range(int(rng.integers(2, 6))):
+        for _attempt in range(50):
+            u, v = (int(x) for x in rng.choice(loads, size=2, replace=False))
+            same_feeder = feeder_of[u] == feeder_of[v]
+            if same_feeder and rng.random() < 0.7:
+                continue
+            if frozenset((u, v)) not in joined:
+                joined.add(frozenset((u, v)))
+                tied |= {u, v}
+                add_edge("tie", u, v)
+                break
+    leaves = [n for n in loads if n not in children and n not in tied]
+    dgs = {int(n) for n in rng.permutation(leaves)[:int(rng.integers(0, 3))]}
+    for node in nodes:
+        if node["id"] in dgs:
+            node["dg"] = True
+    return build_topology({"nodes": nodes, "edges": edges})

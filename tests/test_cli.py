@@ -338,6 +338,15 @@ def test_exit_input_on_missing_scenario_key(tmp_path):
     assert main(["sim", "run", str(scn)]) == 1
 
 
+@pytest.mark.parametrize("nodes, code", [((1, 99), 1), ((99, 1), 2)])
+def test_sim_run_meter_placement_exit_codes(tmp_path, nodes, code):
+    # A meter on a source is malformed input (1); one on a node id outside
+    # the network violates the topology (2). The first bad meter decides.
+    meters = [{"meter_id": f"M-{n:02d}", "node": n, "base_load_kwh": 1.0} for n in nodes]
+    scn = _write_json(tmp_path / "s.json", _scenario(CT8, meters))
+    assert main(["sim", "run", scn, "--out", str(tmp_path / "h.csv")]) == code
+
+
 def test_exit_input_on_out_of_range_alarm_edge(tmp_path, capsys):
     scn = str(SCENARIO_DIR / "tamper_node5.json")
     assert main(["localize", "run", scn, "--alarm-edge", "99",

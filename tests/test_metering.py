@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsleuth.errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
+from gridsleuth.errors import (
+    InvalidIdError,
+    UnknownFrtuError,
+    UnknownNodeError,
+    ZeroAggregateError,
+)
 from gridsleuth.metering import (
     CustomerMeter,
     SimulationOracle,
@@ -134,6 +139,17 @@ def test_meter_on_source_node_rejected():
     meters = [CustomerMeter("M-01", 1, 10.0)]
     with pytest.raises(UnknownNodeError):
         simulate_interval(t, t.normal_states(), meters, seed=1)
+
+
+def test_meter_placement_errors_follow_meter_order():
+    t = ct8()
+    on_source = CustomerMeter("M-01", 1, 10.0)
+    outside = CustomerMeter("M-99", 99, 10.0)
+    ok = CustomerMeter("M-02", 2, 10.0)
+    with pytest.raises(InvalidIdError):
+        simulate_interval(t, t.normal_states(), [ok, outside, on_source], seed=1)
+    with pytest.raises(UnknownNodeError):
+        simulate_interval(t, t.normal_states(), [ok, on_source, outside], seed=1)
 
 
 def test_unknown_frtu_lookup():

@@ -1,0 +1,266 @@
+"""Move search by tree arithmetic against the trial-and-error reference.
+
+``reference_find_move`` is the brute-force branch-exchange search: for every
+open non-breaker edge and every closed sectionalizer on the loop it would
+close, build the landing state, validate it, recompute every FRTU's
+coverage and rank the checks there. ``_Planner.find_move`` must pick the
+same (close, open) pair from subtree counts alone.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from episode_fuzz import make_mesh
+from gridsleuth import energize, planner
+from gridsleuth.energize import energized_after_opening, energized_nodes, frtu_coverage
+from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
+from gridsleuth.planner import _Obligation, _Planner, isolate_dg_islands, localize
+from gridsleuth.topology import (
+    EdgeKind,
+    NodeKind,
+    build_topology,
+    states_to_string,
+    validate_operating_state,
+)
+
+
+def loop_sectionalizers(topo, states, cand):
+    """Closed sectionalizers on the loop that closing ``cand`` creates (BFS).
+
+    Substation sources collapse into one virtual vertex 0, so a path running
+    source-to-source through the grid counts as part of the loop.
+    """
+    adj = {i: [] for i in range(topo.n_nodes + 1)}
+    for e in topo.edges:
+        if states[e.id - 1] and e.id != cand.id:
+            adj[e.u].append((e.v, e.id))
+            adj[e.v].append((e.u, e.id))
+    for node in topo.nodes:
+        if node.kind is NodeKind.SOURCE:
+            adj[0].append((node.id, None))
+            adj[node.id].append((0, None))
+    prev = {cand.u: (cand.u, None)}
+    queue = deque([cand.u])
+    while queue:
+        cur = queue.popleft()
+        for nxt, eid in adj[cur]:
+            if nxt not in prev:
+                prev[nxt] = (cur, eid)
+                queue.append(nxt)
+    if cand.v not in prev:
+        return []
+    out = []
+    cur = cand.v
+    while cur != cand.u:
+        cur, eid = prev[cur]
+        if eid is not None and topo.edge(eid).kind is EdgeKind.SECTIONALIZER:
+            out.append(eid)
+    return sorted(out)
+
+
+def reference_find_move(plan, ob):
+    """Trial-and-error search; also returns every landing state it tried."""
+    topo = plan.topo
+    suspects = ob.active(plan.exonerated)
+    frozen = plan.island_nodes()
+    best, tried = None, []
+    for cand in topo.edges:
+        if plan.states[cand.id - 1] or cand.kind is EdgeKind.BREAKER:
+            continue
+        if cand.u in frozen or cand.v in frozen:
+            continue
+        for sec in loop_sectionalizers(topo, plan.states, cand):
+            trial = plan.states.copy()
+            trial[cand.id - 1] = 1
+            trial[sec - 1] = 0
+            tried.append(trial)
+            if not validate_operating_state(topo, trial).ok:
+                continue
+            read = plan.consulted.get(states_to_string(trial), {})
+            ranked = plan.informative_checks(suspects, frtu_coverage(topo, trial), read)
+            if not ranked:
+                continue
+            entry = (ranked[0][0], sec, cand.id)
+            if best is None or entry < best:
+                best = entry
+    return (None if best is None else (best[2], best[1])), tried
+
+
+def random_planner(topo, rng):
+    """A planner at a random valid state with random bookkeeping.
+
+    The state comes from the DG isolation on most draws (some islands then
+    marked restored while still cut off) followed by a few random branch
+    exchanges, so it is always radial and valid. Suspects, resolved nodes
+    and the reads taken at this state and at some of its neighbours are
+    drawn at random.
+    """
+    plan = _Planner(topo, sorted(topo.frtu_map)[0], lambda states: {}, None)
+    if rng.random() < 0.7:
+        iso = isolate_dg_islands(topo, plan.states)
+        plan.states = iso.states_after.copy()
+        plan.islands = list(iso.islands)
+        for island in plan.islands:
+            island.restored = bool(rng.random() < 0.3)
+    for _ in range(int(rng.integers(0, 6))):
+        frozen = plan.island_nodes()
+        opens = [e for e in topo.edges if not plan.states[e.id - 1]
+                 and e.kind is not EdgeKind.BREAKER
+                 and e.u not in frozen and e.v not in frozen]
+        if not opens:
+            break
+        cand = opens[int(rng.integers(len(opens)))]
+        secs = loop_sectionalizers(topo, plan.states, cand)
+        if not secs:
+            continue
+        plan.states[cand.id - 1] = 1
+        plan.states[secs[int(rng.integers(len(secs)))] - 1] = 0
+    assert validate_operating_state(topo, plan.states).ok
+
+    loads = sorted(topo.load_ids)
+    frtus = sorted(topo.frtu_edges)
+    nodes = {int(n) for n in rng.choice(loads, size=int(rng.integers(2, 9)), replace=False)}
+    plan.tampered = {n for n in loads if n not in nodes and rng.random() < 0.05}
+    plan.exonerated = {n for n in loads if rng.random() < 0.1}
+    key = states_to_string(plan.states)
+    plan.consulted[key] = {f: bool(rng.random() < 0.5) for f in frtus if rng.random() < 0.3}
+    neighbours = []
+    for cand in topo.edges:
+        if plan.states[cand.id - 1] or cand.kind is EdgeKind.BREAKER:
+            continue
+        for sec in loop_sectionalizers(topo, plan.states, cand):
+            neighbours.append((cand.id, sec))
+    for pick in rng.permutation(len(neighbours))[:int(rng.integers(0, 4))]:
+        cand, sec = neighbours[int(pick)]
+        there = plan.states.copy()
+        there[cand - 1], there[sec - 1] = 1, 0
+        plan.consulted[states_to_string(there)] = {
+            f: False for f in frtus if rng.random() < 0.6}
+    return plan, _Obligation(origin=frtus[0], nodes=frozenset(nodes))
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_find_move_matches_reference_on_meshes(seed):
+    rng = np.random.default_rng([53, seed])
+    topo = make_mesh(seed)
+    for _ in range(4):
+        plan, ob = random_planner(topo, rng)
+        expected, tried = reference_find_move(plan, ob)
+        assert plan.find_move(ob) == expected
+        for trial in tried:
+            assert validate_operating_state(topo, trial).ok
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_frtu_coverage_is_loss_when_only_that_breaker_opens(seed):
+    rng = np.random.default_rng([59, seed])
+    topo = make_mesh(seed)
+    loads = topo.load_ids
+    vectors = [topo.normal_states(), np.ones(topo.n_edges, dtype=np.uint8)]
+    vectors += [rng.integers(0, 2, topo.n_edges).astype(np.uint8) for _ in range(6)]
+    for states in vectors:
+        base = energized_nodes(topo, states)
+        expect = {}
+        for eid, frtu in sorted(topo.frtu_map.items()):
+            after = energized_after_opening(topo, states, eid)
+            expect[frtu] = frozenset(
+                n for n in loads if base[n - 1] and not after[n - 1])
+        assert frtu_coverage(topo, states) == expect
+
+
+def test_frtu_coverage_on_every_vector_with_loads_tied_to_a_source():
+    # Load 6 hangs off source 2 through a sectionalizer and tie 3 runs
+    # from load 4 to source 2, so a load can share its section with a
+    # source: then no single breaker carries it.
+    topo = build_topology({
+        "nodes": [
+            {"id": 1, "kind": "source"}, {"id": 2, "kind": "source"},
+            {"id": 3, "kind": "load"}, {"id": 4, "kind": "load"},
+            {"id": 5, "kind": "load"}, {"id": 6, "kind": "load"},
+        ],
+        "edges": [
+            {"id": 1, "kind": "breaker", "from": 1, "to": 3},
+            {"id": 2, "kind": "sectionalizer", "from": 3, "to": 4},
+            {"id": 3, "kind": "tie", "from": 4, "to": 2},
+            {"id": 4, "kind": "breaker", "from": 2, "to": 5},
+            {"id": 5, "kind": "tie", "from": 5, "to": 4},
+            {"id": 6, "kind": "sectionalizer", "from": 2, "to": 6},
+            {"id": 7, "kind": "tie", "from": 6, "to": 3},
+        ],
+    })
+    for bits in range(2 ** topo.n_edges):
+        states = np.array([(bits >> j) & 1 for j in range(topo.n_edges)], dtype=np.uint8)
+        base = energized_nodes(topo, states)
+        expect = {}
+        for eid, frtu in sorted(topo.frtu_map.items()):
+            after = energized_after_opening(topo, states, eid)
+            expect[frtu] = frozenset(
+                n for n in topo.load_ids if base[n - 1] and not after[n - 1])
+        assert frtu_coverage(topo, states) == expect, states_to_string(states)
+
+
+def two_feeder_chain(loads_per_feeder):
+    a = loads_per_feeder
+    n = 2 * a + 2
+    nodes = [{"id": 1, "kind": "source"}]
+    nodes += [{"id": i, "kind": "load"} for i in range(2, n)]
+    nodes += [{"id": n, "kind": "source"}]
+    edges = [{"id": 1, "kind": "breaker", "from": 1, "to": 2}]
+    for i in range(2, a + 1):
+        edges.append({"id": i, "kind": "sectionalizer", "from": i, "to": i + 1})
+    edges.append({"id": a + 1, "kind": "tie", "from": a + 1, "to": a + 2})
+    for i in range(a + 2, 2 * a + 1):
+        edges.append({"id": i, "kind": "sectionalizer", "from": i, "to": i + 1})
+    edges.append({"id": 2 * a + 1, "kind": "breaker", "from": 2 * a + 1, "to": n})
+    return build_topology({"nodes": nodes, "edges": edges})
+
+
+def test_call_counts_on_thousand_node_chain(monkeypatch):
+    topo = two_feeder_chain(499)
+    tampered = 180
+    meters = [
+        CustomerMeter(f"M-{n:04d}", n, 1.0,
+                      Tamper(TamperKind.SCALE, 0.0) if n == tampered else None)
+        for n in sorted(topo.load_ids)
+    ]
+    oracle = SimulationOracle(topo, meters, seed=11, threshold=0.1 / len(meters))
+
+    calls = {"validate": 0, "coverage": 0, "after_opening_in_move": 0}
+    in_move = [False]
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def after_opening(*args, **kwargs):
+        calls["after_opening_in_move"] += in_move[0]
+        return real_after_opening(*args, **kwargs)
+
+    def find_move(self, ob):
+        in_move[0] = True
+        try:
+            return real_find_move(self, ob)
+        finally:
+            in_move[0] = False
+
+    real_after_opening = energize.energized_after_opening
+    real_find_move = _Planner.find_move
+    monkeypatch.setattr(planner, "validate_operating_state",
+                        counting("validate", planner.validate_operating_state))
+    monkeypatch.setattr(planner, "frtu_coverage",
+                        counting("coverage", planner.frtu_coverage))
+    monkeypatch.setattr(energize, "energized_after_opening", after_opening)
+    monkeypatch.setattr(_Planner, "find_move", find_move)
+
+    report = localize(topo, 1, oracle)
+    assert list(report.final_suspects) == [tampered]
+    assert any(line.startswith("transfer load") for line in report.log)
+    # committed_states starts with the initial state: one validation for
+    # it and one per committed switching group.
+    assert calls["validate"] == len(report.committed_states)
+    assert calls["coverage"] <= len(set(report.committed_states))
+    assert calls["after_opening_in_move"] == 0

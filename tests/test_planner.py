@@ -254,3 +254,31 @@ def test_fuzzed_episodes(seed):
     spent, allowed = _budget(
         report, report.suspect_history[0], len(report.islands))
     assert spent <= allowed, f"seed {seed}: {spent} checks > budget {allowed}"
+
+
+def test_oracle_reply_missing_frtu_on_initial_sweep():
+    t, oracle = ct8_oracle({5})
+
+    def partial(states):
+        reply = dict(oracle(states))
+        del reply["FRTU_1"]
+        return reply
+
+    with pytest.raises(OracleInconsistentError, match="FRTU_1"):
+        localize(t, 7, partial)
+
+
+def test_oracle_reply_missing_frtu_after_first_state():
+    # The operator's board shows every FRTU; once switching starts the
+    # adapter stops reporting FRTU_1, which the planner reads next.
+    t, oracle = ct8_oracle({5})
+    normal = states_to_string(t.normal_states())
+
+    def flaky(states):
+        reply = dict(oracle(states))
+        if states_to_string(states) != normal:
+            del reply["FRTU_1"]
+        return reply
+
+    with pytest.raises(OracleInconsistentError, match="FRTU_1"):
+        localize(t, 7, flaky)
