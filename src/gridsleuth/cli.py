@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energize import energized_nodes, frtu_coverage
+from .energize import energized_nodes
 from .errors import (
     DimensionMismatchError,
     GridSleuthError,
@@ -38,6 +38,7 @@ from .errors import (
     ZeroAggregateError,
 )
 from .metering import (
+    MeterInterval,
     Scenario,
     SimulationOracle,
     detect,
@@ -202,18 +203,22 @@ def cmd_topo_energize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _history_rows(scenario: Scenario, seed: int, intervals: int) -> list[dict]:
+def _history_rows(
+    scenario: Scenario, seed: int, intervals: int
+) -> tuple[list[dict], MeterInterval]:
+    """History rows of every interval, and the simulated interval 0."""
     topo = scenario.topology
     states = topo.normal_states()
-    coverage = frtu_coverage(topo, states)
-    node_frtu = {
-        node: frtu for frtu, nodes in sorted(coverage.items()) for node in nodes
-    }
     rows: list[dict] = []
     for k in range(intervals):
         interval = simulate_interval(
             topo, states, scenario.meters, seed,
             noise=scenario.noise, loss_factor=scenario.loss_factor, index=k)
+        if k == 0:
+            first = interval
+        node_frtu = {
+            node: fr.frtu for fr in interval.frtu_readings for node in fr.covered_nodes
+        }
         frtu_kwh = {fr.frtu: fr.aggregate_kwh for fr in interval.frtu_readings}
         for reading in interval.readings:
             frtu = node_frtu.get(reading.node, "")
@@ -228,7 +233,7 @@ def _history_rows(scenario: Scenario, seed: int, intervals: int) -> list[dict]:
                 "frtu": frtu,
                 "frtu_kwh": f"{frtu_kwh[frtu]:.6f}" if frtu else "",
             })
-    return rows
+    return rows, first
 
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
@@ -237,7 +242,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     intervals = args.intervals if args.intervals is not None else scenario.intervals
     if intervals <= 0:
         raise DimensionMismatchError(f"interval count must be positive, got {intervals}")
-    rows = _history_rows(scenario, seed, intervals)
+    rows, first = _history_rows(scenario, seed, intervals)
     fieldnames = [
         "interval", "meter_id", "node", "true_kwh", "reported_kwh", "frtu", "frtu_kwh",
     ]
@@ -249,14 +254,9 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
 
-    topo = scenario.topology
-    states = topo.normal_states()
-    last = simulate_interval(
-        topo, states, scenario.meters, seed,
-        noise=scenario.noise, loss_factor=scenario.loss_factor, index=0)
     alarmed = [
-        fr.frtu for fr in last.frtu_readings
-        if detect(feeder_discrepancy(last, fr.frtu), scenario.threshold)
+        fr.frtu for fr in first.frtu_readings
+        if detect(feeder_discrepancy(first, fr.frtu), scenario.threshold)
     ]
     print(f"wrote {len(rows)} rows ({intervals} intervals) to {out}")
     print("alarms at interval 0: " + (", ".join(alarmed) if alarmed else "none"))

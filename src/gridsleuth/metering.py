@@ -17,14 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .energize import frtu_coverage
+from .energize import energized_nodes, frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
-from .topology import (
-    Topology,
-    fed_and_islands,
-    load_topology,
-    states_to_string,
-)
+from .topology import Topology, load_topology, states_to_string
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -115,7 +110,8 @@ def simulate_interval(
 ) -> MeterInterval:
     """Simulate one metering interval under the given switch states.
 
-    Loads in a DG-backed island keep consuming (the microgrid supplies
+    A load consumes when closed switches connect it to a substation or a
+    DG. Loads in a DG-backed island keep consuming (the microgrid supplies
     them) but fall out of every FRTU aggregate. Loads that are simply dark
     consume nothing. Tampering affects only the reported value.
     """
@@ -127,13 +123,12 @@ def simulate_interval(
             raise UnknownNodeError(
                 f"meter {m.meter_id} placed on non-load node {m.node}")
 
-    fed, islands = fed_and_islands(topo, states)
-    powered_nodes = fed.union(*islands)
-
+    powered = energized_nodes(
+        topo, states, topo.source_vector() | topo.dg_vector()).tolist()
     trues = _draw_true_loads(meters, seed, noise, index)
     readings: list[MeterReading] = []
     for m, true_kwh in zip(meters, trues):
-        if m.node not in powered_nodes:
+        if not powered[m.node - 1]:
             true_kwh = 0.0
         reported: float | None
         if m.tamper is None:

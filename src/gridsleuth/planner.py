@@ -41,7 +41,9 @@ from .topology import (
     EdgeKind,
     NodeKind,
     Topology,
-    closed_components,
+    _find,
+    _sources_merged,
+    _union_all,
     states_to_string,
     validate_operating_state,
 )
@@ -138,74 +140,67 @@ class IsolationPlan:
 def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
     """Plan the cut that puts every DG node on its own microgrid island.
 
-    Each DG node is severed by opening all of its closed edges. Any
-    source-free, DG-free fragment stranded by those cuts is re-fed by
-    closing one open tie toward a powered component; ties touching an
-    island are never used. Closes are listed before opens so no customer
-    goes dark mid-sequence.
+    Each DG node is severed by opening all of its closed edges, so each
+    island is its DG node alone. Any source-free, DG-free fragment stranded
+    by those cuts is re-fed by closing one open tie toward a powered
+    component; ties touching an island are never used. Fragments are taken
+    in order of their smallest node id, each with the lowest-numbered tie
+    that joins it to a fed component, and the tie is charged to the lowest
+    DG whose cut touches the fragment. One union-find labelling of the cut
+    state, with the sources merged into a virtual vertex, tracks what is
+    fed as ties close. Closes are listed before opens so no customer goes
+    dark mid-sequence.
+
+    A starting state with dark loads raises ``InfeasibleIsolationError``
+    before any tie is chosen: a tie would re-feed them on behalf of an
+    island, and restoring that island would darken them again.
     """
     work = topo.check_states(states).copy()
     dg_nodes = sorted(n.id for n in topo.nodes if n.has_dg)
     opened_by: dict[int, list[int]] = {d: [] for d in dg_nodes}
+    cut_by: dict[int, int] = {}  # node -> lowest DG whose cut edge touches it
     for dg in dg_nodes:
         for edge in topo.edges:
             if work[edge.id - 1] and dg in (edge.u, edge.v):
                 work[edge.id - 1] = 0
                 opened_by[dg].append(edge.id)
+                cut_by.setdefault(edge.other(dg), dg)
 
-    sources = {n.id for n in topo.nodes if n.kind is NodeKind.SOURCE}
-    comps = closed_components(topo, work)
-    comp_of = {node: idx for idx, comp in enumerate(comps) for node in comp}
-    fed = {idx for idx, comp in enumerate(comps) if comp & sources}
-    dg_comp_idx = {idx for idx, comp in enumerate(comps) if comp & set(dg_nodes)}
-    island_nodes = set().union(*(comps[i] for i in dg_comp_idx)) if dg_comp_idx else set()
-
-    # Union-find over component indices tracks merges as ties close.
-    parent = list(range(len(comps)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    parent = _sources_merged(topo)
+    _union_all(parent, topo.closed_pairs(work))
+    fed = _find(parent, topo.n_nodes)
+    stranded: dict[int, list[int]] = {}
+    for node in topo.nodes:
+        root = _find(parent, node.id - 1)
+        if root != fed and not node.has_dg:
+            stranded.setdefault(root, []).append(node.id)
+    # The cuts open only edges at DG nodes, so a fragment that no cut
+    # touches was already a component without a source or a DG: dark.
+    dark = sorted(n for nodes in stranded.values()
+                  if not any(m in cut_by for m in nodes) for n in nodes)
+    if dark:
+        raise InfeasibleIsolationError(
+            f"loads {dark} are dark before any DG cut; restoring an island "
+            f"would leave them dark again")
 
     tie_for: dict[int, list[int]] = {d: [] for d in dg_nodes}
-    stranded = sorted(
-        (idx for idx in range(len(comps)) if idx not in fed and idx not in dg_comp_idx),
-        key=lambda i: min(comps[i]),
-    )
-    for idx in stranded:
-        if any(find(idx) == find(f) for f in fed):
-            continue
-        candidates = []
-        for e in topo.edges:
-            if work[e.id - 1] or e.kind is not EdgeKind.TIE:
-                continue
-            if e.u in island_nodes or e.v in island_nodes:
-                continue
-            ru, rv = find(comp_of[e.u]), find(comp_of[e.v])
-            fed_u = any(ru == find(f) for f in fed)
-            fed_v = any(rv == find(f) for f in fed)
-            if fed_u == fed_v:
-                continue
-            dark_root = rv if fed_u else ru
-            if dark_root == find(idx):
-                candidates.append(e)
-        if not candidates:
+    for root, nodes in stranded.items():
+        tie = next((
+            e for e in topo.edges
+            if e.kind is EdgeKind.TIE and not work[e.id - 1]
+            and not topo.node(e.u).has_dg and not topo.node(e.v).has_dg
+            and {_find(parent, e.u - 1), _find(parent, e.v - 1)} == {root, fed}
+        ), None)
+        if tie is None:
             raise InfeasibleIsolationError(
-                f"no open tie can re-feed nodes {sorted(comps[idx])} once the "
-                f"DG cuts are made")
-        tie = min(candidates, key=lambda e: e.id)
+                f"no open tie can re-feed nodes {nodes} once the DG cuts are made")
         work[tie.id - 1] = 1
-        fed_end = tie.u if any(find(comp_of[tie.u]) == find(f) for f in fed) else tie.v
-        dark_end = tie.v if fed_end == tie.u else tie.u
-        parent[find(comp_of[dark_end])] = find(comp_of[fed_end])
-        owner = _owning_dg(topo, comps[idx], opened_by)
-        tie_for[owner].append(tie.id)
+        parent[root] = fed
+        tie_for[min(cut_by[n] for n in nodes if n in cut_by)].append(tie.id)
 
     islands = tuple(
         IslandRecord(
-            nodes=_island_component(comps, dg),
+            nodes=frozenset({dg}),
             opened=tuple(sorted(opened_by[dg])),
             closed_ties=tuple(sorted(tie_for[dg])),
         )
@@ -215,28 +210,6 @@ def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
     opens = sorted(e for edges in opened_by.values() for e in edges)
     ops = tuple([(CLOSE, e) for e in closes] + [(OPEN, e) for e in opens])
     return IsolationPlan(ops=ops, islands=islands, states_after=work)
-
-
-def _owning_dg(
-    topo: Topology, comp: set[int], opened_by: Mapping[int, list[int]]
-) -> int:
-    """DG whose severance stranded this component (adjacent via a cut edge)."""
-    adjacent = []
-    for dg, edges in opened_by.items():
-        for eid in edges:
-            e = topo.edge(eid)
-            if e.u in comp or e.v in comp:
-                adjacent.append(dg)
-    if adjacent:
-        return min(adjacent)
-    return min(opened_by)
-
-
-def _island_component(comps: Sequence[set[int]], dg: int) -> frozenset[int]:
-    for comp in comps:
-        if dg in comp:
-            return frozenset(comp)
-    return frozenset({dg})
 
 
 def restore_island_ops(island: IslandRecord) -> tuple[tuple[str, int], ...]:
@@ -389,19 +362,20 @@ class _Planner:
 
     # --- telemetry ---------------------------------------------------
 
-    def consult(self, frtu: str) -> tuple[bool, bool]:
-        """Read one FRTU's alarm bit at the current states.
+    def consult(self, frtu: str) -> None:
+        """Read one FRTU's alarm bit at the current states and fold it in.
 
-        Returns (alarm, fresh). Only a fresh read counts as a check; a
+        Only a fresh read counts as a check and moves the bookkeeping; a
         pair already read at this exact configuration is just replayed.
         """
         key = states_to_string(self.states)
         reads = self.consulted.setdefault(key, {})
         if frtu in reads:
-            return reads[frtu], False
+            return
         alarm = _alarm_bit(self.oracle(self.states), frtu, key)
         reads[frtu] = alarm
-        return alarm, True
+        self.record_check(frtu, alarm)
+        self.process_reading(frtu, alarm, self.coverage()[frtu])
 
     def coverage(self) -> dict[str, frozenset[int]]:
         """Every FRTU's coverage at the current states, computed once per state."""
@@ -513,12 +487,8 @@ class _Planner:
         Catches a second tampered feeder once the first explanation lands.
         Reads already taken at this configuration are replayed for free.
         """
-        coverage = self.coverage()
-        for frtu in sorted(coverage):
-            alarm, fresh = self.consult(frtu)
-            if fresh:
-                self.record_check(frtu, alarm)
-                self.process_reading(frtu, alarm, coverage[frtu])
+        for frtu in sorted(self.coverage()):
+            self.consult(frtu)
         self.snapshot()
 
     # --- check and move selection ------------------------------------
@@ -683,34 +653,29 @@ class _Planner:
             f"restore island {sorted(island.nodes)} to discriminate suspects")
         self.commit_group(restore_island_ops(island))
         island.restored = True
-        coverage = self.coverage()
         covering = [
-            frtu for frtu, cov in sorted(coverage.items()) if cov & island.nodes
+            frtu for frtu, cov in sorted(self.coverage().items()) if cov & island.nodes
         ]
         if not covering:
             raise InfeasiblePlanError(
                 f"restored island {sorted(island.nodes)} is not covered by any FRTU")
-        frtu = covering[0]
-        alarm, fresh = self.consult(frtu)
-        if fresh:
-            self.record_check(frtu, alarm)
-            self.process_reading(frtu, alarm, coverage[frtu])
+        self.consult(covering[0])
         self.snapshot()
 
     # --- main loop ----------------------------------------------------
 
-    def _empty_report(self) -> LocalizationReport:
+    def report(self, final: Iterable[int]) -> LocalizationReport:
         return LocalizationReport(
             alarm_edge=self.alarm_edge,
             initial_alarms=dict(self.initial_alarms),
-            actions=(),
-            checks=(),
-            suspect_history=(),
-            final_suspects=(),
-            islands=(),
+            actions=tuple(self.actions),
+            checks=tuple(self.checks),
+            suspect_history=tuple(self.history),
+            final_suspects=tuple(sorted(final)),
+            islands=tuple(self.islands),
             committed_states=tuple(self.committed),
-            constraint_violations=(),
-            irreducible=False,
+            constraint_violations=tuple(self.violations),
+            irreducible=self.irreducible,
             log=tuple(self.log),
         )
 
@@ -737,7 +702,7 @@ class _Planner:
             self.log.append(
                 f"{self.alarm_frtu} (edge {self.alarm_edge}) reads clear; "
                 f"no localization needed")
-            return self._empty_report()
+            return self.report(())
         self.log.append(
             "initial alarms: "
             + ", ".join(f"{f}={'ALARM' if a else 'clear'}"
@@ -765,10 +730,7 @@ class _Planner:
                 break
             frtu = self.best_check(ob)
             if frtu is not None:
-                alarm, fresh = self.consult(frtu)
-                if fresh:
-                    self.record_check(frtu, alarm)
-                    self.process_reading(frtu, alarm, self.coverage()[frtu])
+                self.consult(frtu)
                 self.snapshot()
                 continue
             move = self.find_move(ob)
@@ -795,19 +757,7 @@ class _Planner:
             final |= self.active_union()
         self.snapshot()
         self.log.append(f"verdict: tampered node(s) {sorted(final)}")
-        return LocalizationReport(
-            alarm_edge=self.alarm_edge,
-            initial_alarms=dict(self.initial_alarms),
-            actions=tuple(self.actions),
-            checks=tuple(self.checks),
-            suspect_history=tuple(self.history),
-            final_suspects=tuple(sorted(final)),
-            islands=tuple(self.islands),
-            committed_states=tuple(self.committed),
-            constraint_violations=tuple(self.violations),
-            irreducible=self.irreducible,
-            log=tuple(self.log),
-        )
+        return self.report(final)
 
 
 def localize(

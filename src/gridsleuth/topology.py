@@ -262,7 +262,7 @@ def _validate_structure(topo: Topology) -> None:
         if n_sources > 1:
             raise NonRadialNormalStateError(
                 f"component {sorted(comp)} joins {n_sources} substation sources")
-    if _has_cycle(topo, topo.normal_states(), collapse_sources=False):
+    if not _union_all(list(range(topo.n_nodes)), topo.closed_pairs(topo.normal_states())):
         raise NonRadialNormalStateError("normal state contains a closed loop")
 
 
@@ -380,39 +380,17 @@ def closed_components(topo: Topology, states: np.ndarray) -> list[set[int]]:
     return list(groups.values())
 
 
-def _has_cycle(topo: Topology, states: np.ndarray, collapse_sources: bool) -> bool:
-    """Cycle test on closed edges.
+def _sources_merged(topo: Topology) -> list[int]:
+    """Union-find forest over node positions plus one virtual vertex.
 
-    With ``collapse_sources`` every substation source is merged into one
-    virtual vertex first: the transmission grid ties feeder heads together
-    upstream, so a source-to-source path already parallels two feeders and
-    counts as a loop.
+    Every substation source starts joined to the virtual vertex at
+    position ``n_nodes``: the transmission grid ties feeder heads together
+    upstream, so a source-to-source path already parallels two feeders.
     """
-    parent = list(range(topo.n_nodes))
-    if collapse_sources:
-        sources = np.flatnonzero(topo.source_vector()).tolist()
-        _union_all(parent, ((s, sources[0]) for s in sources[1:]))
-    return not _union_all(parent, topo.closed_pairs(states))
-
-
-def fed_and_islands(
-    topo: Topology, states: np.ndarray
-) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """Substation-fed nodes and DG islands of one switch state.
-
-    Both come from one component labelling. An island is a source-less
-    component holding a DG; islands are ordered by their smallest node id.
-    """
-    sources = {n.id for n in topo.nodes if n.kind is NodeKind.SOURCE}
-    fed: set[int] = set()
-    islands: list[frozenset[int]] = []
-    for comp in closed_components(topo, states):
-        if comp & sources:
-            fed |= comp
-        elif any(topo.node(i).has_dg for i in comp):
-            islands.append(frozenset(comp))
-    islands.sort(key=min)
-    return frozenset(fed), tuple(islands)
+    parent = list(range(topo.n_nodes + 1))
+    for s in np.flatnonzero(topo.source_vector()).tolist():
+        parent[s] = topo.n_nodes
+    return parent
 
 
 def validate_operating_state(
@@ -420,22 +398,28 @@ def validate_operating_state(
 ) -> OperatingState:
     """Check one switch configuration against the keep-power-on rules.
 
-    Reports loops (with substation sources collapsed, so paralleling two
-    feeders counts), de-energized loads, and DG islands. A de-energized
-    load inside a DG island is microgrid-supplied and not a violation.
+    One labelling of the closed edges, with the substation sources merged
+    into one vertex, answers all three questions. A union that joins no
+    two sets closes a loop (paralleling two feeders counts). The merged
+    vertex's component is the fed set. A source-less component holding a
+    DG is an island; islands are ordered by their smallest node id. A
+    load in neither is dark; one inside a DG island is microgrid-supplied
+    and not a violation.
     """
     states = topo.check_states(states)
-    has_loop = _has_cycle(topo, states, collapse_sources=True)
-
-    fed, islands = fed_and_islands(topo, states)
-    island_nodes = set().union(*islands)
-    dark_loads = tuple(
-        n.id
-        for n in topo.nodes
-        if n.kind is NodeKind.LOAD
-        and n.id not in fed
-        and n.id not in island_nodes
-    )
+    parent = _sources_merged(topo)
+    has_loop = not _union_all(parent, topo.closed_pairs(states))
+    fed = _find(parent, topo.n_nodes)
+    roots = [_find(parent, i) for i in range(topo.n_nodes)]
+    dg_roots = {roots[i] for i in np.flatnonzero(topo.dg_vector()).tolist()} - {fed}
+    islands: dict[int, set[int]] = {}
+    dark: list[int] = []  # only loads: every source sits in the fed component
+    for node_id, root in enumerate(roots, start=1):
+        if root in dg_roots:
+            islands.setdefault(root, set()).add(node_id)
+        elif root != fed:
+            dark.append(node_id)
+    dark_loads = tuple(dark)
 
     violations: list[str] = []
     if has_loop and not allow_loops:
@@ -445,7 +429,7 @@ def validate_operating_state(
     return OperatingState(
         has_loop=has_loop,
         dark_loads=dark_loads,
-        dg_islands=islands,
+        dg_islands=tuple(frozenset(nodes) for nodes in islands.values()),
         violations=tuple(violations),
     )
 
@@ -461,4 +445,6 @@ def states_from_string(bits: str, topo: Topology | None = None) -> np.ndarray:
 
 
 def states_to_string(states: Sequence[int] | np.ndarray) -> str:
-    return "".join("1" if int(s) else "0" for s in states)
+    """Switch vector as ``"1101111"``: any nonzero entry reads as closed."""
+    bits = (np.asarray(states) != 0).astype(np.uint8) + ord("0")
+    return bits.tobytes().decode("ascii")
