@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .metering import (
     MeterInterval,
-    Scenario,
     SimulationOracle,
     detect,
     feeder_discrepancy,
@@ -66,6 +66,11 @@ EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INCONSISTENT = 4
+
+# The reading history CSV that ``sim run`` writes and ``score`` reads.
+HISTORY_COLUMNS = (
+    "interval", "meter_id", "node", "true_kwh", "reported_kwh", "frtu", "frtu_kwh",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,37 +208,23 @@ def cmd_topo_energize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _history_rows(
-    scenario: Scenario, seed: int, intervals: int
-) -> tuple[list[dict], MeterInterval]:
-    """History rows of every interval, and the simulated interval 0."""
-    topo = scenario.topology
-    states = topo.normal_states()
-    rows: list[dict] = []
-    for k in range(intervals):
-        interval = simulate_interval(
-            topo, states, scenario.meters, seed,
-            noise=scenario.noise, loss_factor=scenario.loss_factor, index=k)
-        if k == 0:
-            first = interval
-        node_frtu = {
-            node: fr.frtu for fr in interval.frtu_readings for node in fr.covered_nodes
-        }
-        frtu_kwh = {fr.frtu: fr.aggregate_kwh for fr in interval.frtu_readings}
-        for reading in interval.readings:
-            frtu = node_frtu.get(reading.node, "")
-            rows.append({
-                "interval": k,
-                "meter_id": reading.meter_id,
-                "node": reading.node,
-                "true_kwh": f"{reading.true_kwh:.6f}",
-                "reported_kwh": (
-                    "" if reading.reported_kwh is None
-                    else f"{reading.reported_kwh:.6f}"),
-                "frtu": frtu,
-                "frtu_kwh": f"{frtu_kwh[frtu]:.6f}" if frtu else "",
-            })
-    return rows, first
+def _history_rows(interval: MeterInterval) -> Iterator[list]:
+    """One history row per reading of ``interval``, in ``HISTORY_COLUMNS`` order."""
+    node_frtu = {
+        node: fr.frtu for fr in interval.frtu_readings for node in fr.covered_nodes
+    }
+    frtu_kwh = {fr.frtu: fr.aggregate_kwh for fr in interval.frtu_readings}
+    for reading in interval.readings:
+        frtu = node_frtu.get(reading.node, "")
+        yield [
+            interval.index,
+            reading.meter_id,
+            reading.node,
+            f"{reading.true_kwh:.6f}",
+            "" if reading.reported_kwh is None else f"{reading.reported_kwh:.6f}",
+            frtu,
+            f"{frtu_kwh[frtu]:.6f}" if frtu else "",
+        ]
 
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
@@ -242,23 +233,32 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     intervals = args.intervals if args.intervals is not None else scenario.intervals
     if intervals <= 0:
         raise DimensionMismatchError(f"interval count must be positive, got {intervals}")
-    rows, first = _history_rows(scenario, seed, intervals)
-    fieldnames = [
-        "interval", "meter_id", "node", "true_kwh", "reported_kwh", "frtu", "frtu_kwh",
-    ]
+    topo = scenario.topology
+    states = topo.normal_states()
+    simulated = (
+        simulate_interval(
+            topo, states, scenario.meters, seed,
+            noise=scenario.noise, loss_factor=scenario.loss_factor, index=k)
+        for k in range(intervals)
+    )
+    # Interval 0 runs before --out is opened, so a meter on a non-load node
+    # raises before the file is created or truncated.
+    first = next(simulated)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(HISTORY_COLUMNS)
+        writer.writerows(_history_rows(first))
+        for interval in simulated:
+            writer.writerows(_history_rows(interval))
 
     alarmed = [
         fr.frtu for fr in first.frtu_readings
         if detect(feeder_discrepancy(first, fr.frtu), scenario.threshold)
     ]
-    print(f"wrote {len(rows)} rows ({intervals} intervals) to {out}")
+    print(f"wrote {intervals * len(scenario.meters)} rows ({intervals} intervals) to {out}")
     print("alarms at interval 0: " + (", ".join(alarmed) if alarmed else "none"))
     return EXIT_OK
 
@@ -317,20 +317,27 @@ def cmd_score(args: argparse.Namespace) -> int:
     meter_node: dict[str, int] = {}
     try:
         with open(args.history, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"interval", "meter_id", "node", "reported_kwh"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            reader = csv.reader(fh)
+            # A repeated column name reads its last occurrence.
+            column = {name: i for i, name in enumerate(next(reader, ()))}
+            # interval, meter_id, node and reported_kwh
+            required = HISTORY_COLUMNS[:3] + HISTORY_COLUMNS[4:5]
+            if not column.keys() >= set(required):
                 raise ValueError(
                     f"history CSV must carry columns {sorted(required)}")
+            at_interval, at_meter, at_node, at_reported = (
+                column[name] for name in required)
             for row in reader:
-                meter_id = row["meter_id"]
-                node = int(row["node"])
-                k = int(row["interval"])
-                reported = row["reported_kwh"]
+                if not row:
+                    continue
+                meter_id = row[at_meter]
+                node = int(row[at_node])
+                k = int(row[at_interval])
+                reported = row[at_reported]
                 meter_node[meter_id] = node
                 per_meter.setdefault(meter_id, {})[k] = (
                     None if reported == "" else float(reported))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed history CSV {args.history}: {exc}") from exc
 
     entries = []

@@ -45,15 +45,12 @@ def energized_nodes(
     if sources is None:
         sources = topo.source_vector()
     else:
-        sources = topo.check_node_flags(sources, "source")
+        sources = topo.check_node_flags(sources)
     return source_reachable(topo.n_nodes, topo.closed_pairs(states), sources)
 
 
 def energized_after_opening(
-    topo: Topology,
-    states: np.ndarray,
-    edge_id: int,
-    sources: np.ndarray | None = None,
+    topo: Topology, states: np.ndarray, edge_id: int
 ) -> np.ndarray:
     """Energized flags with one breaker forced open on top of ``states``."""
     edge = topo.edge(edge_id)
@@ -62,21 +59,18 @@ def energized_after_opening(
             f"edge {edge_id} is a {edge.kind.value}, not a feeder breaker")
     opened = topo.check_states(states).copy()
     opened[edge_id - 1] = 0
-    return energized_nodes(topo, opened, sources)
+    return energized_nodes(topo, opened)
 
 
 def suspect_nodes(
-    topo: Topology,
-    states: np.ndarray,
-    alarm_edge: int,
-    sources: np.ndarray | None = None,
+    topo: Topology, states: np.ndarray, alarm_edge: int
 ) -> frozenset[int]:
     """Nodes that lose power when the alarmed feeder breaker opens.
 
-    These are exactly the customers whose meters feed the alarmed FRTU's
-    aggregate, so they form the initial suspect set for the discrepancy.
+    These are the customers whose meters feed the alarmed FRTU's aggregate,
+    plus any loads already islanded on a DG, which are dark either way.
     """
-    vf = energized_after_opening(topo, states, alarm_edge, sources)
+    vf = energized_after_opening(topo, states, alarm_edge)
     return frozenset(int(i) + 1 for i in np.flatnonzero(vf == 0))
 
 

@@ -242,7 +242,6 @@ class SimulationOracle:
         noise: float = 0.0,
         loss_factor: float = 0.0,
         threshold: float = DEFAULT_THRESHOLD,
-        index: int = 0,
     ) -> None:
         self.topology = topo
         self.meters = tuple(meters)
@@ -250,7 +249,6 @@ class SimulationOracle:
         self.noise = noise
         self.loss_factor = loss_factor
         self.threshold = threshold
-        self.index = index
         self._cache: dict[str, dict[str, bool]] = {}
 
     def alarms(self, states: np.ndarray) -> dict[str, bool]:
@@ -260,7 +258,7 @@ class SimulationOracle:
             return hit
         interval = simulate_interval(
             self.topology, states, self.meters, self.seed,
-            noise=self.noise, loss_factor=self.loss_factor, index=self.index)
+            noise=self.noise, loss_factor=self.loss_factor)
         result = {
             fr.frtu: detect(feeder_discrepancy(interval, fr.frtu), self.threshold)
             for fr in interval.frtu_readings

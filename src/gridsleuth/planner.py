@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .energize import frtu_coverage, suspect_nodes
+from .energize import frtu_coverage
 from .errors import (
     InfeasibleIsolationError,
     InfeasiblePlanError,
@@ -355,7 +355,6 @@ class _Planner:
         self.history: list[tuple[int, ...]] = []
         self.islands: list[IslandRecord] = []
         self.committed: list[str] = []
-        self.violations: list[str] = []
         self.log: list[str] = []
         self.initial_alarms: dict[str, bool] = {}
         self.irreducible = False
@@ -423,7 +422,6 @@ class _Planner:
         key = states_to_string(self.states)
         self.committed.append(key)
         if not check.ok:
-            self.violations.extend(f"{key}: {v}" for v in check.violations)
             raise InfeasiblePlanError(
                 f"committed switch state {key} violates operating rules: "
                 f"{'; '.join(check.violations)}")
@@ -674,7 +672,7 @@ class _Planner:
             final_suspects=tuple(sorted(final)),
             islands=tuple(self.islands),
             committed_states=tuple(self.committed),
-            constraint_violations=tuple(self.violations),
+            constraint_violations=(),
             irreducible=self.irreducible,
             log=tuple(self.log),
         )
@@ -708,10 +706,9 @@ class _Planner:
             + ", ".join(f"{f}={'ALARM' if a else 'clear'}"
                         for f, a in sorted(self.initial_alarms.items())))
 
-        # The suspect set starts as every node that would go dark if the
-        # alarmed breaker opened: exactly the customers behind it.
-        initial_suspects = suspect_nodes(self.topo, self.states, self.alarm_edge)
-        self.history.append(tuple(sorted(initial_suspects)))
+        # The suspect set starts as the alarmed FRTU's coverage: exactly
+        # the customers it meters. DG-island loads are in no coverage.
+        self.history.append(tuple(sorted(coverage0[self.alarm_frtu])))
         for frtu in sorted(coverage0):
             self.process_reading(frtu, self.initial_alarms[frtu], coverage0[frtu])
 

@@ -162,11 +162,11 @@ class Topology:
                 f"switch vector has shape {arr.shape}, expected ({self.n_edges},)")
         return arr.astype(np.uint8)
 
-    def check_node_flags(self, flags: np.ndarray, what: str = "node flag") -> np.ndarray:
+    def check_node_flags(self, flags: np.ndarray) -> np.ndarray:
         arr = np.asarray(flags)
         if arr.shape != (self.n_nodes,):
             raise DimensionMismatchError(
-                f"{what} vector has shape {arr.shape}, expected ({self.n_nodes},)")
+                f"source vector has shape {arr.shape}, expected ({self.n_nodes},)")
         return arr.astype(np.uint8)
 
 
@@ -393,9 +393,7 @@ def _sources_merged(topo: Topology) -> list[int]:
     return parent
 
 
-def validate_operating_state(
-    topo: Topology, states: np.ndarray, allow_loops: bool = False
-) -> OperatingState:
+def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingState:
     """Check one switch configuration against the keep-power-on rules.
 
     One labelling of the closed edges, with the substation sources merged
@@ -422,7 +420,7 @@ def validate_operating_state(
     dark_loads = tuple(dark)
 
     violations: list[str] = []
-    if has_loop and not allow_loops:
+    if has_loop:
         violations.append("closed loop between feeders")
     if dark_loads:
         violations.append(f"de-energized loads outside any microgrid: {list(dark_loads)}")

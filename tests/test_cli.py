@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from gridsleuth.cli import build_parser, main
 from gridsleuth.networks import ct8
 from gridsleuth.topology import adjacency_from_incidence
 
-SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+REPO = Path(__file__).parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 CT8 = str(SCENARIO_DIR / "ct8.json")
 
 
@@ -160,6 +163,38 @@ def test_matrices_respect_switch_states(tmp_path):
     _, dense = _read_dense(tmp_path / "adjacency.csv")
     assert np.array_equal(dense, expected)
     assert int(dense.sum()) == 12
+
+
+# ------------------------------------------------------------------ README
+
+def _readme_sessions() -> list[tuple[str, list[str]]]:
+    """Each ``$ command`` of the README's console blocks, with its output lines."""
+    sessions: list[tuple[str, list[str]]] = []
+    readme = (REPO / "README.md").read_text()
+    for block in re.findall(r"```console\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                sessions.append((line[2:], []))
+            else:
+                sessions[-1][1].append(line)
+    return sessions
+
+
+def test_readme_console_blocks_match(tmp_path, monkeypatch, capsys):
+    (tmp_path / "scenarios").symlink_to(SCENARIO_DIR)
+    monkeypatch.chdir(tmp_path)
+    sessions = _readme_sessions()
+    assert [cmd.split()[:2] for cmd, _ in sessions] == [
+        ["gridsleuth", "topo"], ["gridsleuth", "topo"], ["gridsleuth", "sim"],
+        ["gridsleuth", "localize"], ["gridsleuth", "score"], ["cat", "scores.csv"]]
+    for cmd, expected in sessions:
+        prog, *argv = shlex.split(cmd)
+        if prog == "cat":
+            printed = Path(*argv).read_text()
+        else:
+            assert main(argv) == 0, cmd
+            printed = capsys.readouterr().out
+        assert printed.splitlines() == expected, cmd
 
 
 # -------------------------------------------------------------- simulation
@@ -311,6 +346,55 @@ def test_score_rejects_column_short_history(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def _score_text(tmp_path, capsys, history: str, node: int) -> tuple[int, str, str]:
+    path = tmp_path / "history.csv"
+    path.write_text(history)
+    out = tmp_path / "scores.csv"
+    code = main(["score", str(SCENARIO_DIR / "tamper_node5.json"),
+                 "--history", str(path), "--node", str(node), "--out", str(out)])
+    printed = capsys.readouterr()
+    return code, printed.out + printed.err, out.read_text() if code == 0 else ""
+
+
+def test_score_skips_blank_lines(tmp_path, capsys):
+    scn = str(SCENARIO_DIR / "tamper_node5.json")
+    history = tmp_path / "sim.csv"
+    assert main(["sim", "run", scn, "--out", str(history)]) == 0
+    capsys.readouterr()
+    text = history.read_text()
+    plain = _score_text(tmp_path, capsys, text, 5)
+    spaced = _score_text(tmp_path, capsys, text.replace("\n", "\n\n"), 5)
+    assert plain[0] == 0
+    assert spaced == plain
+
+
+def test_score_reads_last_of_a_repeated_column(tmp_path, capsys):
+    history = (
+        "interval,meter_id,node,reported_kwh,node\n"
+        "0,M-05,2,0.000000,5\n"
+        "1,M-05,2,0.000000,5\n")
+    code, printed, scores = _score_text(tmp_path, capsys, history, 5)
+    assert code == 0
+    assert printed.startswith("wrote 1 meter scores")
+    assert scores.splitlines()[1].startswith("M-05,5,")
+    assert _score_text(tmp_path, capsys, history, 2)[1].startswith("wrote 0 meter scores")
+
+
+def test_score_rejects_a_short_row(tmp_path, capsys):
+    history = "interval,meter_id,node,reported_kwh\n0,M-05,5,0.0\n1,M-05,5\n"
+    code, printed, _ = _score_text(tmp_path, capsys, history, 5)
+    assert code == 1
+    assert f"malformed history CSV {tmp_path / 'history.csv'}: " in printed
+
+
+def test_score_header_only_history(tmp_path, capsys):
+    history = "interval,meter_id,node,true_kwh,reported_kwh,frtu,frtu_kwh\n"
+    code, printed, scores = _score_text(tmp_path, capsys, history, 5)
+    assert code == 0
+    assert printed.startswith("wrote 0 meter scores")
+    assert scores == "meter_id,node,s_a,p_a,index,rank\n"
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_exit_input_on_missing_file(tmp_path, capsys):
@@ -345,6 +429,21 @@ def test_sim_run_meter_placement_exit_codes(tmp_path, nodes, code):
     meters = [{"meter_id": f"M-{n:02d}", "node": n, "base_load_kwh": 1.0} for n in nodes]
     scn = _write_json(tmp_path / "s.json", _scenario(CT8, meters))
     assert main(["sim", "run", scn, "--out", str(tmp_path / "h.csv")]) == code
+
+
+@pytest.mark.parametrize("before", [None, "left alone\n"])
+def test_sim_run_misplaced_meter_leaves_out_file_alone(tmp_path, before):
+    meters = _ct8_meters(None) + [
+        {"meter_id": "M-01", "node": 1, "base_load_kwh": 1.0}]
+    scn = _write_json(tmp_path / "s.json", _scenario(CT8, meters))
+    out = tmp_path / "h.csv"
+    if before is not None:
+        out.write_text(before)
+    assert main(["sim", "run", scn, "--out", str(out)]) == 1
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
 
 
 def test_exit_input_on_out_of_range_alarm_edge(tmp_path, capsys):

@@ -55,6 +55,15 @@ def test_single_tamper_walks(truth):
     assert report.constraint_violations == ()
 
 
+def test_island_start_suspects_only_the_alarmed_coverage():
+    # Node 6 starts islanded on its DG, so FRTU_2 meters only node 7: the
+    # island is dark to every feeder but no meter in it feeds the gap.
+    t, oracle = ct8_oracle({7})
+    report = localize(t, 7, oracle, initial_states=states_from_string("1111001", t))
+    assert report.suspect_history[0] == (7,)
+    assert list(report.final_suspects) == [7]
+
+
 def test_tamper5_check_order_and_history():
     t, oracle = ct8_oracle({5})
     report = localize(t, 7, oracle)
