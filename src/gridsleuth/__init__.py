@@ -8,7 +8,6 @@ the localized area by anomaly score.
 """
 
 from .energize import (
-    energized_after_opening,
     energized_from_incidence,
     energized_nodes,
     frtu_coverage,
@@ -70,7 +69,6 @@ __all__ = [
     "adjacency_from_incidence",
     "build_topology",
     "detect",
-    "energized_after_opening",
     "energized_from_incidence",
     "energized_nodes",
     "feeder_discrepancy",

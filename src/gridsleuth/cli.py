@@ -53,7 +53,6 @@ from .scoring import (
     score_window,
 )
 from .topology import (
-    Topology,
     adjacency_from_incidence,
     load_topology,
     states_from_string,
@@ -136,12 +135,8 @@ def _effective_seed(file_seed: int, flag_seed: int | None) -> int:
     return file_seed
 
 
-def _load_topology_checked(path: str) -> Topology:
-    return load_topology(path)
-
-
 def cmd_topo_validate(args: argparse.Namespace) -> int:
-    topo = _load_topology_checked(args.topology)
+    topo = load_topology(args.topology)
     print(f"structure: ok ({topo.n_nodes} nodes, {topo.n_edges} edges)")
     states = (
         states_from_string(args.vr, topo) if args.vr else topo.normal_states()
@@ -179,7 +174,7 @@ def _write_sparse(path: Path, matrix: np.ndarray) -> None:
 
 
 def cmd_topo_matrices(args: argparse.Namespace) -> int:
-    topo = _load_topology_checked(args.topology)
+    topo = load_topology(args.topology)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     incidence = topo.incidence()
@@ -201,7 +196,7 @@ def cmd_topo_matrices(args: argparse.Namespace) -> int:
 
 
 def cmd_topo_energize(args: argparse.Namespace) -> int:
-    topo = _load_topology_checked(args.topology)
+    topo = load_topology(args.topology)
     states = states_from_string(args.vr, topo)
     vf = energized_nodes(topo, states)
     print(states_to_string(vf))

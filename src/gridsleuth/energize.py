@@ -49,19 +49,6 @@ def energized_nodes(
     return source_reachable(topo.n_nodes, topo.closed_pairs(states), sources)
 
 
-def energized_after_opening(
-    topo: Topology, states: np.ndarray, edge_id: int
-) -> np.ndarray:
-    """Energized flags with one breaker forced open on top of ``states``."""
-    edge = topo.edge(edge_id)
-    if edge.kind is not EdgeKind.BREAKER:
-        raise NotABreakerError(
-            f"edge {edge_id} is a {edge.kind.value}, not a feeder breaker")
-    opened = topo.check_states(states).copy()
-    opened[edge_id - 1] = 0
-    return energized_nodes(topo, opened)
-
-
 def suspect_nodes(
     topo: Topology, states: np.ndarray, alarm_edge: int
 ) -> frozenset[int]:
@@ -70,7 +57,13 @@ def suspect_nodes(
     These are the customers whose meters feed the alarmed FRTU's aggregate,
     plus any loads already islanded on a DG, which are dark either way.
     """
-    vf = energized_after_opening(topo, states, alarm_edge)
+    edge = topo.edge(alarm_edge)
+    if edge.kind is not EdgeKind.BREAKER:
+        raise NotABreakerError(
+            f"edge {alarm_edge} is a {edge.kind.value}, not a feeder breaker")
+    opened = topo.check_states(states).copy()
+    opened[alarm_edge - 1] = 0
+    vf = energized_nodes(topo, opened)
     return frozenset(int(i) + 1 for i in np.flatnonzero(vf == 0))
 
 

@@ -140,18 +140,24 @@ def simulate_interval(
             true_kwh=true_kwh, reported_kwh=reported))
 
     coverage = frtu_coverage(topo, states)
+    # Coverages are disjoint, so one pass puts each reading in the bucket of
+    # the FRTU that meters it; each bucket then sums in reading order.
+    frtu_of = {node: frtu for frtu, covered in coverage.items() for node in covered}
+    true_by: dict[str, list[float]] = {frtu: [] for frtu in coverage}
+    reported_by: dict[str, list[float]] = {frtu: [] for frtu in coverage}
+    for r in readings:
+        frtu = frtu_of.get(r.node)
+        if frtu is not None:
+            true_by[frtu].append(r.true_kwh)
+            if r.reported_kwh is not None:
+                reported_by[frtu].append(r.reported_kwh)
     frtu_readings: list[FrtuReading] = []
     for frtu, covered in sorted(coverage.items()):
-        agg = sum(r.true_kwh for r in readings if r.node in covered)
-        rep = sum(
-            r.reported_kwh for r in readings
-            if r.node in covered and r.reported_kwh is not None
-        )
         frtu_readings.append(FrtuReading(
             frtu=frtu,
             edge=topo.frtu_edges[frtu],
-            aggregate_kwh=agg * (1.0 + loss_factor),
-            reported_sum_kwh=rep,
+            aggregate_kwh=sum(true_by[frtu]) * (1.0 + loss_factor),
+            reported_sum_kwh=sum(reported_by[frtu]),
             covered_nodes=covered,
         ))
     return MeterInterval(

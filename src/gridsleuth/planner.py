@@ -12,8 +12,9 @@ coverage that must contain at least one tampered node; an obligation is
 discharged once it contains a member of ``T``, and if exonerations ever
 empty an undischarged obligation the telemetry contradicts itself.
 
-Each switch state is labelled once: the planner keeps every FRTU's
-coverage per distinct state it visits. Load transfers are branch
+Each switch state is labelled once per question: the planner keeps every
+FRTU's coverage, and the rooted tree its validation built, per distinct
+state it visits. Load transfers are branch
 exchanges (Civanlar et al., 1988; Baran & Wu, 1989): close an open tie
 (u, v), then open a sectionalizer s on the loop it makes. In the rooted
 tree of a radial state, with the sources collapsed into a virtual root,
@@ -26,7 +27,7 @@ validating the state it would land on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,11 +40,8 @@ from .errors import (
 )
 from .topology import (
     EdgeKind,
-    NodeKind,
+    StateTree,
     Topology,
-    _find,
-    _sources_merged,
-    _union_all,
     states_to_string,
     validate_operating_state,
 )
@@ -146,10 +144,10 @@ def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
     component; ties touching an island are never used. Fragments are taken
     in order of their smallest node id, each with the lowest-numbered tie
     that joins it to a fed component, and the tie is charged to the lowest
-    DG whose cut touches the fragment. One union-find labelling of the cut
-    state, with the sources merged into a virtual vertex, tracks what is
-    fed as ties close. Closes are listed before opens so no customer goes
-    dark mid-sequence.
+    DG whose cut touches the fragment. The cut state's ``StateTree``
+    labels its components once, and a set of fed component roots tracks
+    what is fed as ties close. Closes are listed before opens so no
+    customer goes dark mid-sequence.
 
     A starting state with dark loads raises ``InfeasibleIsolationError``
     before any tie is chosen: a tie would re-feed them on behalf of an
@@ -166,13 +164,12 @@ def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
                 opened_by[dg].append(edge.id)
                 cut_by.setdefault(edge.other(dg), dg)
 
-    parent = _sources_merged(topo)
-    _union_all(parent, topo.closed_pairs(work))
-    fed = _find(parent, topo.n_nodes)
+    comp = StateTree.build(topo, work).comp
+    fed = {0}  # component roots fed from a source, 0 being the virtual root's
     stranded: dict[int, list[int]] = {}
     for node in topo.nodes:
-        root = _find(parent, node.id - 1)
-        if root != fed and not node.has_dg:
+        root = comp[node.id]
+        if root not in fed and not node.has_dg:
             stranded.setdefault(root, []).append(node.id)
     # The cuts open only edges at DG nodes, so a fragment that no cut
     # touches was already a component without a source or a DG: dark.
@@ -189,13 +186,14 @@ def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
             e for e in topo.edges
             if e.kind is EdgeKind.TIE and not work[e.id - 1]
             and not topo.node(e.u).has_dg and not topo.node(e.v).has_dg
-            and {_find(parent, e.u - 1), _find(parent, e.v - 1)} == {root, fed}
+            and root in (comp[e.u], comp[e.v])
+            and (comp[e.u] in fed or comp[e.v] in fed)
         ), None)
         if tie is None:
             raise InfeasibleIsolationError(
                 f"no open tie can re-feed nodes {nodes} once the DG cuts are made")
         work[tie.id - 1] = 1
-        parent[root] = fed
+        fed.add(root)
         tie_for[min(cut_by[n] for n in nodes if n in cut_by)].append(tie.id)
 
     islands = tuple(
@@ -244,85 +242,6 @@ def _split_score(inside: int, tampered: int, n_suspects: int) -> float | None:
     return abs(inside - n_suspects / 2)
 
 
-@dataclass(frozen=True)
-class _RadialTree:
-    """A radial switch state as a rooted forest, indexed by node id.
-
-    The sources hang off a virtual root, node 0, so every fed node
-    descends from it; a source-less component (a DG island) is rooted at
-    its smallest node. ``parent_edge`` is 0 above a source and a root,
-    ``feeder`` is the breaker heading a node's feeder (0 for none),
-    ``comp`` is the root of its component, and ``order`` lists parents
-    before their children.
-    """
-
-    parent: list[int]
-    parent_edge: list[int]
-    depth: list[int]
-    feeder: list[int]
-    comp: list[int]
-    order: list[int]
-
-    @classmethod
-    def build(cls, topo: Topology, states: np.ndarray) -> "_RadialTree":
-        size = topo.n_nodes + 1
-        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(size)]
-        for e in topo.edges:
-            if states[e.id - 1]:
-                breaker = e.kind is EdgeKind.BREAKER
-                adj[e.u].append((e.v, e.id, breaker))
-                adj[e.v].append((e.u, e.id, breaker))
-        adj[0] = [(n.id, 0, False) for n in topo.nodes if n.kind is NodeKind.SOURCE]
-        parent, parent_edge = [-1] * size, [0] * size
-        depth, feeder, comp = [0] * size, [0] * size, [-1] * size
-        order: list[int] = []
-        for root in range(size):
-            if comp[root] >= 0:
-                continue
-            comp[root] = root
-            head = len(order)
-            order.append(root)
-            while head < len(order):
-                x = order[head]
-                head += 1
-                for y, eid, breaker in adj[x]:
-                    if comp[y] >= 0:
-                        continue
-                    comp[y] = root
-                    parent[y], parent_edge[y], depth[y] = x, eid, depth[x] + 1
-                    feeder[y] = eid if breaker else feeder[x]
-                    order.append(y)
-        return cls(parent, parent_edge, depth, feeder, comp, order)
-
-    def count_below(self, members: Iterable[int]) -> list[int]:
-        """Per node, how many of ``members`` lie in its subtree."""
-        below = [0] * len(self.parent)
-        for x in members:
-            below[x] = 1
-        for x in reversed(self.order):
-            if self.parent[x] >= 0:
-                below[self.parent[x]] += below[x]
-        return below
-
-    def loop(self, u: int, v: int) -> Iterator[tuple[int, int, int]]:
-        """Tree edges on the loop that closing an edge (u, v) would make.
-
-        Yields (edge id, node below it, the endpoint it would be fed from)
-        for each edge of the path u -> LCA -> v; edge id 0 is a link to the
-        virtual root. Nothing when u and v lie in different components.
-        """
-        if self.comp[u] != self.comp[v]:
-            return
-        a, b = u, v
-        while a != b:
-            if self.depth[a] >= self.depth[b]:
-                yield self.parent_edge[a], a, v
-                a = self.parent[a]
-            else:
-                yield self.parent_edge[b], b, u
-                b = self.parent[b]
-
-
 class _Planner:
     """Mutable state of one localization run."""
 
@@ -350,6 +269,8 @@ class _Planner:
         # Alarm bits already read, by switch-state string, then FRTU.
         self.consulted: dict[str, dict[str, bool]] = {}
         self.coverages: dict[str, dict[str, frozenset[int]]] = {}
+        # Rooted labelling of each validated state, by switch-state string.
+        self.trees: dict[str, StateTree] = {}
         self.actions: list[SwitchingAction] = []
         self.checks: list[FrtuCheck] = []
         self.history: list[tuple[int, ...]] = []
@@ -382,6 +303,13 @@ class _Planner:
         if key not in self.coverages:
             self.coverages[key] = frtu_coverage(self.topo, self.states)
         return self.coverages[key]
+
+    def tree(self) -> StateTree:
+        """The current state's tree, from its validation (run here if never run)."""
+        key = states_to_string(self.states)
+        if key not in self.trees:
+            self.trees[key] = validate_operating_state(self.topo, self.states).tree
+        return self.trees[key]
 
     def record_check(self, frtu: str, alarm: bool) -> None:
         self.checks.append(
@@ -418,8 +346,9 @@ class _Planner:
             self.actions.append(
                 SwitchingAction(step=len(self.actions) + 1, edge=eid, action=op))
             self.log.append(f"step {len(self.actions)}: {op} edge {eid}")
-        check = validate_operating_state(self.topo, self.states)
         key = states_to_string(self.states)
+        check = validate_operating_state(self.topo, self.states)
+        self.trees[key] = check.tree
         self.committed.append(key)
         if not check.ok:
             raise InfeasiblePlanError(
@@ -513,11 +442,8 @@ class _Planner:
                                  len(suspects))
             if score is not None:
                 out.append((score, frtu))
-        out.sort(key=lambda sf: (sf[0], self._frtu_rank(sf[1])))
+        out.sort(key=lambda sf: (sf[0], self.topo.frtu_edges[sf[1]]))
         return out
-
-    def _frtu_rank(self, frtu: str) -> int:
-        return self.topo.frtu_edges[frtu]
 
     def best_check(self, ob: _Obligation) -> str | None:
         suspects = ob.active(self.exonerated)
@@ -559,7 +485,7 @@ class _Planner:
             frtu: (len(cov & suspects), len(cov & self.tampered))
             for frtu, cov in self.coverage().items()
         }
-        tree = _RadialTree.build(self.topo, self.states)
+        tree = self.tree()
         suspects_below = tree.count_below(suspects)
         tampered_below = tree.count_below(self.tampered)
         read_after = self.reads_one_move_away()
@@ -678,18 +604,19 @@ class _Planner:
         )
 
     def run(self) -> LocalizationReport:
+        key0 = states_to_string(self.states)
         baseline = validate_operating_state(self.topo, self.states)
         if not baseline.ok:
             raise InfeasiblePlanError(
                 "starting switch state violates operating rules: "
                 + "; ".join(baseline.violations))
-        self.committed.append(states_to_string(self.states))
+        self.trees[key0] = baseline.tree
+        self.committed.append(key0)
 
         # Continuous telemetry: every FRTU's alarm bit is already on the
         # operator's board before any switching, so this sweep is free.
         coverage0 = self.coverage()
         readings0 = self.oracle(self.states)
-        key0 = states_to_string(self.states)
         reads0 = self.consulted.setdefault(key0, {})
         for frtu in sorted(coverage0):
             alarm = _alarm_bit(readings0, frtu, key0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +73,7 @@ class OperatingState:
     dark_loads: tuple[int, ...]
     dg_islands: tuple[frozenset[int], ...]
     violations: tuple[str, ...]
+    tree: StateTree = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -380,42 +381,111 @@ def closed_components(topo: Topology, states: np.ndarray) -> list[set[int]]:
     return list(groups.values())
 
 
-def _sources_merged(topo: Topology) -> list[int]:
-    """Union-find forest over node positions plus one virtual vertex.
+@dataclass(frozen=True)
+class StateTree:
+    """A switch state as a rooted forest, indexed by node id.
 
-    Every substation source starts joined to the virtual vertex at
-    position ``n_nodes``: the transmission grid ties feeder heads together
-    upstream, so a source-to-source path already parallels two feeders.
+    The sources hang off a virtual root, node 0, so every fed node
+    descends from it and component 0 is the fed set: the transmission grid
+    ties feeder heads together upstream, so a source-to-source path already
+    parallels two feeders. Any other component is rooted at its smallest
+    node. ``parent_edge`` is 0 above a source and a root, ``feeder`` is the
+    breaker heading a node's feeder (0 for none), ``comp`` is the root of
+    its component, and ``order`` lists parents before their children.
     """
-    parent = list(range(topo.n_nodes + 1))
-    for s in np.flatnonzero(topo.source_vector()).tolist():
-        parent[s] = topo.n_nodes
-    return parent
+
+    parent: list[int]
+    parent_edge: list[int]
+    depth: list[int]
+    feeder: list[int]
+    comp: list[int]
+    order: list[int]
+
+    @classmethod
+    def build(cls, topo: Topology, states: np.ndarray) -> "StateTree":
+        """Breadth-first labelling of the closed edges from the virtual root."""
+        size = topo.n_nodes + 1
+        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(size)]
+        for j in np.flatnonzero(states).tolist():
+            e = topo.edges[j]
+            breaker = e.kind is EdgeKind.BREAKER
+            adj[e.u].append((e.v, e.id, breaker))
+            adj[e.v].append((e.u, e.id, breaker))
+        adj[0] = [(s + 1, 0, False) for s in np.flatnonzero(topo.source_vector()).tolist()]
+        parent, parent_edge = [-1] * size, [0] * size
+        depth, feeder, comp = [0] * size, [0] * size, [-1] * size
+        order: list[int] = []
+        for root in range(size):
+            if comp[root] >= 0:
+                continue
+            comp[root] = root
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                x = order[head]
+                head += 1
+                for y, eid, breaker in adj[x]:
+                    if comp[y] >= 0:
+                        continue
+                    comp[y] = root
+                    parent[y], parent_edge[y], depth[y] = x, eid, depth[x] + 1
+                    feeder[y] = eid if breaker else feeder[x]
+                    order.append(y)
+        return cls(parent, parent_edge, depth, feeder, comp, order)
+
+    def count_below(self, members: Iterable[int]) -> list[int]:
+        """Per node, how many of ``members`` lie in its subtree."""
+        below = [0] * len(self.parent)
+        for x in members:
+            below[x] = 1
+        for x in reversed(self.order):
+            if self.parent[x] >= 0:
+                below[self.parent[x]] += below[x]
+        return below
+
+    def loop(self, u: int, v: int) -> Iterator[tuple[int, int, int]]:
+        """Tree edges on the loop that closing an edge (u, v) would make.
+
+        Yields (edge id, node below it, the endpoint it would be fed from)
+        for each edge of the path u -> LCA -> v; edge id 0 is a link to the
+        virtual root. Nothing when u and v lie in different components.
+        """
+        if self.comp[u] != self.comp[v]:
+            return
+        a, b = u, v
+        while a != b:
+            if self.depth[a] >= self.depth[b]:
+                yield self.parent_edge[a], a, v
+                a = self.parent[a]
+            else:
+                yield self.parent_edge[b], b, u
+                b = self.parent[b]
 
 
 def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingState:
     """Check one switch configuration against the keep-power-on rules.
 
-    One labelling of the closed edges, with the substation sources merged
-    into one vertex, answers all three questions. A union that joins no
-    two sets closes a loop (paralleling two feeders counts). The merged
-    vertex's component is the fed set. A source-less component holding a
-    DG is an island; islands are ordered by their smallest node id. A
-    load in neither is dark; one inside a DG island is microgrid-supplied
-    and not a violation.
+    The state's ``StateTree`` answers all three questions, and rides on
+    the result for callers that go on to read the state as a tree. The
+    closed edges plus one virtual link per source close a loop (paralleling
+    two feeders counts) exactly when they outnumber the forest's edges.
+    Component 0 is the fed set. Any other component holding a DG is an
+    island; islands are ordered by their smallest node id. A load in
+    neither is dark; one inside a DG island is microgrid-supplied and not
+    a violation.
     """
     states = topo.check_states(states)
-    parent = _sources_merged(topo)
-    has_loop = not _union_all(parent, topo.closed_pairs(states))
-    fed = _find(parent, topo.n_nodes)
-    roots = [_find(parent, i) for i in range(topo.n_nodes)]
-    dg_roots = {roots[i] for i in np.flatnonzero(topo.dg_vector()).tolist()} - {fed}
+    tree = StateTree.build(topo, states)
+    links = int(np.count_nonzero(states)) + int(np.count_nonzero(topo.source_vector()))
+    comp = tree.comp
+    has_loop = links > len(comp) - len(set(comp))
+    dg_roots = {comp[i + 1] for i in np.flatnonzero(topo.dg_vector()).tolist()} - {0}
     islands: dict[int, set[int]] = {}
     dark: list[int] = []  # only loads: every source sits in the fed component
-    for node_id, root in enumerate(roots, start=1):
+    for node_id, root in enumerate(comp[1:], start=1):
         if root in dg_roots:
             islands.setdefault(root, set()).add(node_id)
-        elif root != fed:
+        elif root:
             dark.append(node_id)
     dark_loads = tuple(dark)
 
@@ -429,6 +499,7 @@ def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingSta
         dark_loads=dark_loads,
         dg_islands=tuple(frozenset(nodes) for nodes in islands.values()),
         violations=tuple(violations),
+        tree=tree,
     )
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsleuth.energize import (
-    energized_after_opening,
     energized_from_incidence,
     energized_nodes,
     frtu_coverage,
@@ -61,7 +60,7 @@ def test_suspect_set_is_zero_set_of_breaker_opening():
 def test_opening_requires_breaker():
     t = ct8()
     with pytest.raises(NotABreakerError):
-        energized_after_opening(t, t.normal_states(), 4)
+        suspect_nodes(t, t.normal_states(), 4)
 
 
 def test_custom_source_vector():

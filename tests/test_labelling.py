@@ -5,7 +5,7 @@ sources collapsed, then a component labelling for the fed set and the DG
 islands. ``reference_isolate`` is the DG isolation that labelled the cut
 state into components and ran a union-find over component indices as ties
 closed. ``validate_operating_state`` and ``isolate_dg_islands`` must give
-the same results, errors included, from one union-find pass each.
+the same results, errors included, from one rooted labelling each.
 """
 
 from collections import Counter
@@ -232,6 +232,42 @@ DG_ON_A_SOURCE = small_spec(
      ("load", False)],
     [("breaker", 1, 2), ("sectionalizer", 2, 3), ("tie", 1, 3), ("tie", 3, 5),
      ("breaker", 4, 5)])
+
+
+# Tie 5 joins sources 1 and 4 directly, so closing it parallels the two
+# feeders with no load on the loop.
+SOURCE_TO_SOURCE_TIE = small_spec(
+    [("source", False), ("load", False), ("load", True), ("source", False),
+     ("load", False)],
+    [("breaker", 1, 2), ("sectionalizer", 2, 3), ("breaker", 4, 5),
+     ("tie", 3, 5), ("tie", 1, 4)])
+# Opening edge 2 leaves loads 3-5 without a source but with two DGs, one
+# island; opening edge 3 as well splits it into two.
+TWO_DGS_ONE_COMPONENT = small_spec(
+    [("source", False), ("load", False), ("load", True), ("load", False),
+     ("load", True), ("source", False), ("load", False)],
+    [("breaker", 1, 2), ("sectionalizer", 2, 3), ("sectionalizer", 3, 4),
+     ("sectionalizer", 4, 5), ("breaker", 6, 7), ("tie", 5, 7)])
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (SOURCE_TO_SOURCE_TIE, "source tie loop"),
+    (TWO_DGS_ONE_COMPONENT, "two-DG island"),
+])
+def test_one_labelling_on_every_vector_of_shapes_the_fuzzers_miss(spec, shape):
+    topo = build_topology(spec)
+    seen = Counter()
+    for bits in range(2 ** topo.n_edges):
+        states = np.array([(bits >> j) & 1 for j in range(topo.n_edges)], dtype=np.uint8)
+        got = validate_operating_state(topo, states)
+        has_loop, dark, islands = reference_validate(topo, states)
+        assert (got.has_loop, got.dark_loads, got.dg_islands) == (has_loop, dark, islands)
+        if not dark:
+            assert (isolation_outcome(isolate_dg_islands, topo, states)
+                    == isolation_outcome(reference_isolate, topo, states))
+        seen["source tie loop"] += has_loop and states[-1] and states.sum() == 1
+        seen["two-DG island"] += any(len(i & {3, 5}) == 2 for i in islands)
+    assert seen[shape] > 0
 
 
 @pytest.mark.parametrize("spec, ops, islands", [

@@ -14,12 +14,13 @@ import pytest
 
 from episode_fuzz import make_mesh
 from gridsleuth import energize, planner
-from gridsleuth.energize import energized_after_opening, energized_nodes, frtu_coverage
+from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
 from gridsleuth.planner import _Obligation, _Planner, isolate_dg_islands, localize
 from gridsleuth.topology import (
     EdgeKind,
     NodeKind,
+    StateTree,
     build_topology,
     states_to_string,
     validate_operating_state,
@@ -153,21 +154,43 @@ def test_find_move_matches_reference_on_meshes(seed):
             assert validate_operating_state(topo, trial).ok
 
 
+def coverage_by_definition(topo, states):
+    """Each FRTU's coverage: the loads that opening its breaker alone darkens."""
+    base = energized_nodes(topo, states)
+    expect = {}
+    for eid, frtu in sorted(topo.frtu_map.items()):
+        opened = np.array(states, dtype=np.uint8)
+        opened[eid - 1] = 0
+        after = energized_nodes(topo, opened)
+        expect[frtu] = frozenset(
+            n for n in topo.load_ids if base[n - 1] and not after[n - 1])
+    return expect
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tree_feeders_reproduce_frtu_coverage(seed):
+    # Every state the planner validates is radial, so each load's feeder
+    # in the state's tree names the one FRTU that meters it, if any.
+    rng = np.random.default_rng([71, seed])
+    topo = make_mesh(seed)
+    landing = isolate_dg_islands(topo, topo.normal_states()).states_after
+    for states in [landing] + [random_planner(topo, rng)[0].states for _ in range(4)]:
+        tree = validate_operating_state(topo, states).tree
+        by_feeder = {
+            frtu: frozenset(n for n in topo.load_ids if tree.feeder[n] == eid)
+            for eid, frtu in topo.frtu_map.items()
+        }
+        assert by_feeder == frtu_coverage(topo, states), states_to_string(states)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_frtu_coverage_is_loss_when_only_that_breaker_opens(seed):
     rng = np.random.default_rng([59, seed])
     topo = make_mesh(seed)
-    loads = topo.load_ids
     vectors = [topo.normal_states(), np.ones(topo.n_edges, dtype=np.uint8)]
     vectors += [rng.integers(0, 2, topo.n_edges).astype(np.uint8) for _ in range(6)]
     for states in vectors:
-        base = energized_nodes(topo, states)
-        expect = {}
-        for eid, frtu in sorted(topo.frtu_map.items()):
-            after = energized_after_opening(topo, states, eid)
-            expect[frtu] = frozenset(
-                n for n in loads if base[n - 1] and not after[n - 1])
-        assert frtu_coverage(topo, states) == expect
+        assert frtu_coverage(topo, states) == coverage_by_definition(topo, states)
 
 
 def test_frtu_coverage_on_every_vector_with_loads_tied_to_a_source():
@@ -192,13 +215,8 @@ def test_frtu_coverage_on_every_vector_with_loads_tied_to_a_source():
     })
     for bits in range(2 ** topo.n_edges):
         states = np.array([(bits >> j) & 1 for j in range(topo.n_edges)], dtype=np.uint8)
-        base = energized_nodes(topo, states)
-        expect = {}
-        for eid, frtu in sorted(topo.frtu_map.items()):
-            after = energized_after_opening(topo, states, eid)
-            expect[frtu] = frozenset(
-                n for n in topo.load_ids if base[n - 1] and not after[n - 1])
-        assert frtu_coverage(topo, states) == expect, states_to_string(states)
+        assert (frtu_coverage(topo, states) == coverage_by_definition(topo, states)
+                ), states_to_string(states)
 
 
 def two_feeder_chain(loads_per_feeder):
@@ -227,7 +245,8 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     ]
     oracle = SimulationOracle(topo, meters, seed=11, threshold=0.1 / len(meters))
 
-    calls = {"validate": 0, "coverage": 0, "after_opening_in_move": 0}
+    calls = {"validate": 0, "coverage": 0, "trees": 0,
+             "energized_in_move": 0, "trees_in_move": 0}
     in_move = [False]
 
     def counting(name, fn):
@@ -236,9 +255,14 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def after_opening(*args, **kwargs):
-        calls["after_opening_in_move"] += in_move[0]
-        return real_after_opening(*args, **kwargs)
+    def energized(*args, **kwargs):
+        calls["energized_in_move"] += in_move[0]
+        return real_energized(*args, **kwargs)
+
+    def build_tree(cls, *args, **kwargs):
+        calls["trees"] += 1
+        calls["trees_in_move"] += in_move[0]
+        return real_build(*args, **kwargs)
 
     def find_move(self, ob):
         in_move[0] = True
@@ -247,13 +271,15 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
         finally:
             in_move[0] = False
 
-    real_after_opening = energize.energized_after_opening
+    real_energized = energize.energized_nodes
+    real_build = StateTree.build
     real_find_move = _Planner.find_move
     monkeypatch.setattr(planner, "validate_operating_state",
                         counting("validate", planner.validate_operating_state))
     monkeypatch.setattr(planner, "frtu_coverage",
                         counting("coverage", planner.frtu_coverage))
-    monkeypatch.setattr(energize, "energized_after_opening", after_opening)
+    monkeypatch.setattr(energize, "energized_nodes", energized)
+    monkeypatch.setattr(StateTree, "build", classmethod(build_tree))
     monkeypatch.setattr(_Planner, "find_move", find_move)
 
     report = localize(topo, 1, oracle)
@@ -263,4 +289,8 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     # it and one per committed switching group.
     assert calls["validate"] == len(report.committed_states)
     assert calls["coverage"] <= len(set(report.committed_states))
-    assert calls["after_opening_in_move"] == 0
+    assert calls["energized_in_move"] == 0
+    # One tree per validation, plus the DG isolation's cut state; the move
+    # search reads the tree its state's validation built.
+    assert calls["trees"] == calls["validate"] + 1
+    assert calls["trees_in_move"] == 0
