@@ -19,10 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -203,23 +203,36 @@ def cmd_topo_energize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _history_rows(interval: MeterInterval) -> Iterator[list]:
-    """One history row per reading of ``interval``, in ``HISTORY_COLUMNS`` order."""
-    node_frtu = {
-        node: fr.frtu for fr in interval.frtu_readings for node in fr.covered_nodes
-    }
-    frtu_kwh = {fr.frtu: fr.aggregate_kwh for fr in interval.frtu_readings}
-    for reading in interval.readings:
-        frtu = node_frtu.get(reading.node, "")
-        yield [
-            interval.index,
-            reading.meter_id,
-            reading.node,
-            f"{reading.true_kwh:.6f}",
-            "" if reading.reported_kwh is None else f"{reading.reported_kwh:.6f}",
-            frtu,
-            f"{frtu_kwh[frtu]:.6f}" if frtu else "",
-        ]
+class _Echo:
+    """A sink whose ``write`` returns its text, so ``csv.writer`` quotes into a string."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_line(*cells) -> str:
+    """``cells`` as the one line ``csv.writer`` writes for them, line end included."""
+    return csv.writer(_Echo()).writerow(cells)
+
+
+def _history_text(interval: MeterInterval, prefixes: list[str]) -> str:
+    """The history rows of ``interval``, in ``HISTORY_COLUMNS`` order.
+
+    ``prefixes`` holds each meter's quoted ``meter_id,node,`` cells. Each
+    FRTU's two cells and the line end are quoted once; index -1 (no FRTU)
+    picks two empty cells.
+    """
+    tails = [_csv_line(fr.frtu, f"{fr.aggregate_kwh:.6f}") for fr in interval.frtu_readings]
+    tails.append(_csv_line("", ""))
+    reported = [f"{x:.6f}" for x in interval.reported_kwh.tolist()]
+    for i in np.flatnonzero(interval.silenced).tolist():
+        reported[i] = ""
+    k = interval.index
+    return "".join([
+        f"{k},{prefix}{true_kwh:.6f},{rep},{tails[j]}"
+        for prefix, true_kwh, rep, j in zip(
+            prefixes, interval.true_kwh.tolist(), reported, interval.frtu_index.tolist())
+    ])
 
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
@@ -242,12 +255,15 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
+    prefixes = [
+        _csv_line(m.meter_id, m.node, "").removesuffix(csv.excel.lineterminator)
+        for m in scenario.meters
+    ]
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        writer.writerows(_history_rows(first))
+        fh.write(_csv_line(*HISTORY_COLUMNS))
+        fh.write(_history_text(first, prefixes))
         for interval in simulated:
-            writer.writerows(_history_rows(interval))
+            fh.write(_history_text(interval, prefixes))
 
     alarmed = [
         fr.frtu for fr in first.frtu_readings
@@ -305,6 +321,10 @@ def cmd_localize_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    threshold = args.deviation_threshold
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(
+            f"deviation threshold must be a positive finite number, got {threshold}")
     scenario = load_scenario(args.scenario)
     base_by_meter = {m.meter_id: m for m in scenario.meters}
 
@@ -348,7 +368,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         historical = [meter.base_load_kwh] * max(len(window), 1)
         entries.append(score_window(
             meter_id, args.node, historical, window,
-            deviation_threshold=args.deviation_threshold))
+            deviation_threshold=threshold))
 
     ranked = rank_meters(args.node, entries)
     out = Path(args.out)

@@ -10,8 +10,10 @@ FRTU aggregate and the sum of customer reports exceeds the threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,20 +34,18 @@ class TamperKind(Enum):
 
 @dataclass(frozen=True)
 class Tamper:
+    """A meter's misreporting: SCALE reports ``value`` times the true draw,
+    FIXED reports ``value`` whatever the draw, OUTAGE reports nothing."""
+
     kind: TamperKind
     value: float = 0.0
 
-    def apply(self, true_kwh: float) -> float | None:
-        """Reported value for a true draw; None models a silenced meter."""
-        if self.kind is TamperKind.SCALE:
-            return true_kwh * self.value
-        if self.kind is TamperKind.FIXED:
-            return self.value
-        return None
-
     @staticmethod
     def from_dict(d: Mapping) -> "Tamper":
-        return Tamper(kind=TamperKind(d["mode"]), value=float(d.get("value", 0.0)))
+        value = float(d.get("value", 0.0))
+        if not math.isfinite(value):
+            raise ValueError(f"tamper value must be finite, got {value}")
+        return Tamper(kind=TamperKind(d["mode"]), value=value)
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,39 @@ class FrtuReading:
     covered_nodes: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeterInterval:
+    """One simulated interval, held as per-meter columns in meter order.
+
+    ``reported_kwh`` holds nothing meaningful where ``silenced`` is set.
+    ``frtu_index`` gives each meter's position in ``frtu_readings``, or -1
+    where no FRTU meters its node (a dark load or a DG island).
+    """
+
     index: int
     states: tuple[int, ...]
-    readings: tuple[MeterReading, ...]
+    meters: tuple[CustomerMeter, ...]
+    true_kwh: np.ndarray
+    reported_kwh: np.ndarray
+    silenced: np.ndarray
+    frtu_index: np.ndarray
     frtu_readings: tuple[FrtuReading, ...]
+
+    @cached_property
+    def readings(self) -> tuple[MeterReading, ...]:
+        """The columns as one ``MeterReading`` per meter, built on first use."""
+        return tuple(
+            MeterReading(meter_id=m.meter_id, node=m.node, true_kwh=true_kwh,
+                         reported_kwh=None if silenced else reported)
+            for m, true_kwh, reported, silenced in zip(
+                self.meters, self.true_kwh.tolist(), self.reported_kwh.tolist(),
+                self.silenced.tolist()))
 
     def frtu(self, name: str) -> FrtuReading:
         for fr in self.frtu_readings:
             if fr.frtu == name:
                 return fr
         raise UnknownFrtuError(f"no FRTU named {name!r} in this interval")
-
-
-def _draw_true_loads(
-    meters: Sequence[CustomerMeter], seed: int, noise: float, index: int
-) -> list[float]:
-    # One generator per (seed, interval) and one draw per meter, in meter
-    # order, so a meter's true load never depends on which meters alarm or
-    # which switches moved.
-    rng = np.random.default_rng([seed, index])
-    draws = rng.uniform(1.0 - noise, 1.0 + noise, size=len(meters))
-    return [m.base_load_kwh * d for m, d in zip(meters, draws)]
 
 
 def simulate_interval(
@@ -116,55 +126,63 @@ def simulate_interval(
     consume nothing. Tampering affects only the reported value.
     """
     states = topo.check_states(states)
+    meters = tuple(meters)
     loads = topo.load_ids
-    for m in meters:
-        if m.node not in loads:
-            topo.node(m.node)  # an id outside the network raises InvalidIdError
-            raise UnknownNodeError(
-                f"meter {m.meter_id} placed on non-load node {m.node}")
+    node_ids = [m.node for m in meters]
+    if not loads.issuperset(node_ids):
+        m = next(m for m in meters if m.node not in loads)
+        topo.node(m.node)  # an id outside the network raises InvalidIdError
+        raise UnknownNodeError(f"meter {m.meter_id} placed on non-load node {m.node}")
+    at = np.array(node_ids, dtype=np.intp) - 1
 
     powered = energized_nodes(
-        topo, states, topo.source_vector() | topo.dg_vector()).tolist()
-    trues = _draw_true_loads(meters, seed, noise, index)
-    readings: list[MeterReading] = []
-    for m, true_kwh in zip(meters, trues):
-        if not powered[m.node - 1]:
-            true_kwh = 0.0
-        reported: float | None
-        if m.tamper is None:
-            reported = true_kwh
-        else:
-            reported = m.tamper.apply(true_kwh)
-        readings.append(MeterReading(
-            meter_id=m.meter_id, node=m.node,
-            true_kwh=true_kwh, reported_kwh=reported))
+        topo, states, topo.source_vector() | topo.dg_vector())[at] != 0
+    # One generator per (seed, interval) and one draw per meter, in meter
+    # order, so a meter's true load never depends on which meters alarm or
+    # which switches moved.
+    draws = np.random.default_rng([seed, index]).uniform(
+        1.0 - noise, 1.0 + noise, size=len(meters))
+    base = np.array([m.base_load_kwh for m in meters], dtype=float)
+    true_kwh = np.where(powered, base * draws, 0.0)
+
+    is_kind = {kind: np.zeros(len(meters), dtype=bool) for kind in TamperKind}
+    value = np.zeros(len(meters))
+    for i, m in enumerate(meters):
+        if m.tamper is not None:
+            is_kind[m.tamper.kind][i] = True
+            value[i] = m.tamper.value
+    reported = np.where(is_kind[TamperKind.FIXED], value, true_kwh)
+    np.multiply(true_kwh, value, out=reported, where=is_kind[TamperKind.SCALE])
+    silenced = is_kind[TamperKind.OUTAGE]
 
     coverage = frtu_coverage(topo, states)
-    # Coverages are disjoint, so one pass puts each reading in the bucket of
-    # the FRTU that meters it; each bucket then sums in reading order.
-    frtu_of = {node: frtu for frtu, covered in coverage.items() for node in covered}
-    true_by: dict[str, list[float]] = {frtu: [] for frtu in coverage}
-    reported_by: dict[str, list[float]] = {frtu: [] for frtu in coverage}
-    for r in readings:
-        frtu = frtu_of.get(r.node)
-        if frtu is not None:
-            true_by[frtu].append(r.true_kwh)
-            if r.reported_kwh is not None:
-                reported_by[frtu].append(r.reported_kwh)
-    frtu_readings: list[FrtuReading] = []
-    for frtu, covered in sorted(coverage.items()):
-        frtu_readings.append(FrtuReading(
-            frtu=frtu,
-            edge=topo.frtu_edges[frtu],
-            aggregate_kwh=sum(true_by[frtu]) * (1.0 + loss_factor),
-            reported_sum_kwh=sum(reported_by[frtu]),
-            covered_nodes=covered,
-        ))
+    names = sorted(coverage)
+    node_frtu = np.full(topo.n_nodes, -1, dtype=np.intp)
+    for j, frtu in enumerate(names):
+        node_frtu[np.fromiter(coverage[frtu], dtype=np.intp) - 1] = j
+    frtu_index = node_frtu[at]
+    # Coverages are disjoint, and bincount adds each FRTU's weights one by
+    # one in meter order, so its sums are left-to-right sums over readings.
+    metered = frtu_index >= 0
+    aggregate = np.bincount(
+        frtu_index[metered], weights=true_kwh[metered], minlength=len(names),
+    ) * (1.0 + loss_factor)
+    sent = metered & ~silenced
+    reported_sum = np.bincount(
+        frtu_index[sent], weights=reported[sent], minlength=len(names))
+    frtu_readings = tuple(
+        FrtuReading(frtu=frtu, edge=topo.frtu_edges[frtu], aggregate_kwh=agg,
+                    reported_sum_kwh=rep, covered_nodes=coverage[frtu])
+        for frtu, agg, rep in zip(names, aggregate.tolist(), reported_sum.tolist()))
     return MeterInterval(
         index=index,
-        states=tuple(int(s) for s in states),
-        readings=tuple(readings),
-        frtu_readings=tuple(frtu_readings),
+        states=tuple(states.tolist()),
+        meters=meters,
+        true_kwh=true_kwh,
+        reported_kwh=reported,
+        silenced=silenced,
+        frtu_index=frtu_index,
+        frtu_readings=frtu_readings,
     )
 
 
@@ -202,8 +220,20 @@ class Scenario:
     ground_truth: tuple[int, ...] = field(default_factory=tuple)
 
 
+def _in_range(name: str, value, high: float = math.inf) -> float:
+    """``value`` as a float, which must be finite and within [0, high]."""
+    x = float(value)
+    if not (math.isfinite(x) and 0.0 <= x <= high):
+        raise ValueError(f"{name} must be a finite number in [0, {high}], got {x}")
+    return x
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario file; the topology path resolves against it."""
+    """Read a scenario file; the topology path resolves against it.
+
+    Noise must lie in [0, 1]; losses, the threshold and base loads must be
+    nonnegative; and every number must be finite (``json`` reads ``NaN``).
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -212,7 +242,8 @@ def load_scenario(path: str | Path) -> Scenario:
         CustomerMeter(
             meter_id=m["meter_id"],
             node=int(m["node"]),
-            base_load_kwh=float(m["base_load_kwh"]),
+            base_load_kwh=_in_range(
+                f"meter {m['meter_id']} base_load_kwh", m["base_load_kwh"]),
             tamper=Tamper.from_dict(m["tamper"]) if m.get("tamper") else None,
         )
         for m in raw["meters"]
@@ -221,9 +252,9 @@ def load_scenario(path: str | Path) -> Scenario:
         topology=topo,
         meters=meters,
         seed=int(raw["seed"]),
-        noise=float(raw.get("noise", 0.0)),
-        loss_factor=float(raw.get("loss_factor", 0.0)),
-        threshold=float(raw.get("threshold", DEFAULT_THRESHOLD)),
+        noise=_in_range("noise", raw.get("noise", 0.0), 1.0),
+        loss_factor=_in_range("loss_factor", raw.get("loss_factor", 0.0)),
+        threshold=_in_range("threshold", raw.get("threshold", DEFAULT_THRESHOLD)),
         intervals=int(raw.get("intervals", 1)),
         alarm_edge=int(raw["alarm_edge"]) if raw.get("alarm_edge") is not None else None,
         ground_truth=tuple(int(n) for n in raw.get("ground_truth", ())),

@@ -87,7 +87,7 @@ def flag_profile(
     if not profile.historical_kwh:
         raise EmptyHistoryError(
             f"meter {profile.meter_id} has no historical records to compare against")
-    if deviation_threshold <= 0:
+    if not deviation_threshold > 0:  # NaN fails this too
         raise ValueError(f"deviation threshold must be positive, got {deviation_threshold}")
     norm = median(profile.historical_kwh)
     allowed = deviation_threshold * abs(norm)

@@ -1,6 +1,7 @@
 """CLI behaviour: parsing, file outputs, determinism, exit codes."""
 
 import csv
+import io
 import json
 import re
 import shlex
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridsleuth import cli
 from gridsleuth.cli import build_parser, main
 from gridsleuth.networks import ct8
-from gridsleuth.topology import adjacency_from_incidence
+from gridsleuth.topology import adjacency_from_incidence, states_from_string
 
 REPO = Path(__file__).parent.parent
 SCENARIO_DIR = REPO / "scenarios"
@@ -393,6 +395,106 @@ def test_score_header_only_history(tmp_path, capsys):
     assert code == 0
     assert printed.startswith("wrote 0 meter scores")
     assert scores == "meter_id,node,s_a,p_a,index,rank\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("node", ["5", "99"])
+def test_score_rejects_a_non_positive_or_non_finite_deviation_threshold(
+        tmp_path, capsys, value, node):
+    scn = str(SCENARIO_DIR / "tamper_node5.json")
+    history = tmp_path / "history.csv"
+    assert main(["sim", "run", scn, "--out", str(history)]) == 0
+    out = tmp_path / "scores.csv"
+    for hist in (history, tmp_path / "missing.csv"):
+        capsys.readouterr()
+        assert main(["score", scn, "--history", str(hist), "--node", node,
+                     f"--deviation-threshold={value}", "--out", str(out)]) == 1
+        assert "deviation threshold must be a positive finite number" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
+# ------------------------------------------------------------- history CSV
+
+def reference_history_rows(interval):
+    """The row builder the column formatter replaced, one list per reading."""
+    node_frtu = {
+        node: fr.frtu for fr in interval.frtu_readings for node in fr.covered_nodes
+    }
+    frtu_kwh = {fr.frtu: fr.aggregate_kwh for fr in interval.frtu_readings}
+    for reading in interval.readings:
+        frtu = node_frtu.get(reading.node, "")
+        yield [
+            interval.index,
+            reading.meter_id,
+            reading.node,
+            f"{reading.true_kwh:.6f}",
+            "" if reading.reported_kwh is None else f"{reading.reported_kwh:.6f}",
+            frtu,
+            f"{frtu_kwh[frtu]:.6f}" if frtu else "",
+        ]
+
+
+# ct8 plus load 9 hung straight off source 1 by a sectionalizer: it is fed
+# in the normal state, but its section holds a source, so no FRTU meters it.
+UNMETERED_SPEC = {
+    "nodes": _ct8_spec()["nodes"] + [{"id": 9, "kind": "load"}],
+    "edges": _ct8_spec()["edges"] + [
+        {"id": 8, "kind": "sectionalizer", "from": 1, "to": 9}],
+}
+AWKWARD_METERS = [
+    {"meter_id": "M,2", "node": 2, "base_load_kwh": 10.0},
+    {"meter_id": 'M"3"', "node": 3, "base_load_kwh": 10.0,
+     "tamper": {"mode": "outage"}},
+    {"meter_id": "M 5", "node": 5, "base_load_kwh": 10.0,
+     "tamper": {"mode": "scale", "value": 0.25}},
+    {"meter_id": "M-6", "node": 6, "base_load_kwh": 7.5},
+    {"meter_id": " M-7,\"", "node": 7, "base_load_kwh": 12.0,
+     "tamper": {"mode": "fixed", "value": 3.0}},
+    {"meter_id": "M-9", "node": 9, "base_load_kwh": 4.0},
+]
+
+
+@pytest.mark.parametrize("vr", [None, "1111001"])
+def test_sim_run_history_equals_the_row_builder(tmp_path, monkeypatch, capsys, vr):
+    # "1111001" opens edges 5 and 6: node 6 runs on its DG, so no FRTU
+    # meters it. Sim run always simulates the normal state, so the test
+    # swaps the state under it.
+    topo_path = _write_json(tmp_path / "topo.json", UNMETERED_SPEC)
+    scn = _write_json(tmp_path / "s.json", _scenario(
+        topo_path, AWKWARD_METERS, noise=0.05, loss_factor=0.03, intervals=3))
+    intervals = []
+    real = cli.simulate_interval
+
+    def simulate(topo, states, *args, **kwargs):
+        if vr is not None:
+            states = states_from_string(vr + "1", topo)
+        intervals.append(real(topo, states, *args, **kwargs))
+        return intervals[-1]
+
+    monkeypatch.setattr(cli, "simulate_interval", simulate)
+    out = tmp_path / "history.csv"
+    assert main(["sim", "run", scn, "--out", str(out)]) == 0
+
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(cli.HISTORY_COLUMNS)
+    for interval in intervals:
+        writer.writerows(reference_history_rows(interval))
+    assert out.read_bytes().decode("utf-8") == expected.getvalue()
+    rows = list(csv.DictReader(io.StringIO(expected.getvalue())))
+    assert {r["meter_id"] for r in rows} == {m["meter_id"] for m in AWKWARD_METERS}
+    assert {r["frtu"] for r in rows if r["node"] in ("6", "9")} == (
+        {""} if vr else {"", "FRTU_2"})
+    assert {r["reported_kwh"] for r in rows if r["node"] == "3"} == {""}
+
+    capsys.readouterr()
+    for meter in AWKWARD_METERS:
+        scores = tmp_path / "scores.csv"
+        assert main(["score", scn, "--history", str(out), "--node", str(meter["node"]),
+                     "--out", str(scores)]) == 0
+        with open(scores, newline="") as fh:
+            assert [r["meter_id"] for r in csv.DictReader(fh)] == [meter["meter_id"]]
 
 
 # -------------------------------------------------------------- exit codes

@@ -1,10 +1,21 @@
-"""Metering simulation, tampering, and the discrepancy trigger."""
+"""Metering simulation, tampering, and the discrepancy trigger.
+
+``reference_simulate_interval`` is the per-meter loop the columnar
+simulator replaced: one ``MeterReading`` per meter, then one sum per FRTU
+over the readings it meters. ``simulate_interval`` must give the same
+readings, the same FRTU sums under ``==`` and the same placement errors.
+"""
+
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsleuth import cli, metering
+from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.errors import (
     InvalidIdError,
     UnknownFrtuError,
@@ -13,6 +24,8 @@ from gridsleuth.errors import (
 )
 from gridsleuth.metering import (
     CustomerMeter,
+    FrtuReading,
+    MeterReading,
     SimulationOracle,
     Tamper,
     TamperKind,
@@ -22,7 +35,9 @@ from gridsleuth.metering import (
     simulate_interval,
 )
 from gridsleuth.networks import ct8
-from gridsleuth.topology import states_from_string
+from gridsleuth.planner import localize
+from gridsleuth.topology import NodeKind, states_from_string
+from test_labelling import random_cases
 
 from pathlib import Path
 
@@ -219,3 +234,194 @@ def test_oracle_caches_per_state():
     oracle = SimulationOracle(t, meters_flat(), seed=7)
     first = oracle(t.normal_states())
     assert oracle(t.normal_states()) is first
+
+
+# ------------------------------------------------- columnar vs per-meter loop
+
+def reference_simulate_interval(topo, states, meters, seed, *, noise=0.0,
+                                loss_factor=0.0, index=0):
+    """(readings, FRTU readings) from one ``MeterReading`` per meter."""
+    states = topo.check_states(states)
+    loads = topo.load_ids
+    for m in meters:
+        if m.node not in loads:
+            topo.node(m.node)
+            raise UnknownNodeError(
+                f"meter {m.meter_id} placed on non-load node {m.node}")
+    powered = energized_nodes(
+        topo, states, topo.source_vector() | topo.dg_vector()).tolist()
+    rng = np.random.default_rng([seed, index])
+    draws = rng.uniform(1.0 - noise, 1.0 + noise, size=len(meters))
+    readings = []
+    for m, draw in zip(meters, draws):
+        true_kwh = m.base_load_kwh * draw if powered[m.node - 1] else 0.0
+        if m.tamper is None:
+            reported = true_kwh
+        elif m.tamper.kind is TamperKind.SCALE:
+            reported = true_kwh * m.tamper.value
+        elif m.tamper.kind is TamperKind.FIXED:
+            reported = m.tamper.value
+        else:
+            reported = None
+        readings.append(MeterReading(m.meter_id, m.node, true_kwh, reported))
+    frtu_readings = []
+    for frtu, covered in sorted(frtu_coverage(topo, states).items()):
+        mine = [r for r in readings if r.node in covered]
+        frtu_readings.append(FrtuReading(
+            frtu=frtu,
+            edge=topo.frtu_edges[frtu],
+            aggregate_kwh=left_to_right_sum(r.true_kwh for r in mine) * (1.0 + loss_factor),
+            reported_sum_kwh=left_to_right_sum(
+                r.reported_kwh for r in mine if r.reported_kwh is not None),
+            covered_nodes=covered,
+        ))
+    return tuple(readings), tuple(frtu_readings)
+
+
+def left_to_right_sum(values):
+    """Plain float addition in order (``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def random_meters(topo, rng):
+    """0-2 meters per load with every tamper kind, and now and then a meter
+    on a source or outside the network, anywhere in the list."""
+    tampers = [None, None, None, Tamper(TamperKind.SCALE, 0.5),
+               Tamper(TamperKind.SCALE, 0.0), Tamper(TamperKind.FIXED, 0.7),
+               Tamper(TamperKind.OUTAGE)]
+    meters = [
+        CustomerMeter(f"M-{n}-{j}", n, float(rng.uniform(0.5, 3.0)),
+                      tampers[int(rng.integers(len(tampers)))])
+        for n in sorted(topo.load_ids) for j in range(int(rng.integers(0, 3)))
+    ]
+    sources = [n.id for n in topo.nodes if n.kind is NodeKind.SOURCE]
+    for bad in (sources[0], 0, topo.n_nodes + 1):
+        if rng.random() < 0.05:
+            meters.insert(int(rng.integers(len(meters) + 1)),
+                          CustomerMeter(f"X-{bad}", bad, 1.0))
+    return meters
+
+
+def simulation_outcome(simulate, topo, states, meters, **kw):
+    """(readings, FRTU readings) of one interval, or the error's type and message."""
+    try:
+        got = simulate(topo, states, meters, **kw)
+    except (InvalidIdError, UnknownNodeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        return got
+    return got.readings, got.frtu_readings
+
+
+def simulation_cases(seed):
+    """The labelling fuzzer's (network, switch vector) pairs with random
+    meters, noise, losses and interval index."""
+    rng = np.random.default_rng([71, seed])
+    for topo, states in random_cases(seed):
+        kw = {"seed": int(rng.integers(1 << 20)),
+              "noise": float(rng.choice([0.0, 0.05, 0.3])),
+              "loss_factor": float(rng.choice([0.0, 0.04])),
+              "index": int(rng.integers(100))}
+        yield topo, states, random_meters(topo, rng), kw
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_columnar_simulation_matches_per_meter_loop(seed):
+    for topo, states, meters, kw in simulation_cases(seed):
+        got = simulation_outcome(simulate_interval, topo, states, meters, **kw)
+        want = simulation_outcome(reference_simulate_interval, topo, states, meters, **kw)
+        assert got == want
+
+
+def test_simulation_cases_cover_tampers_dark_loads_islands_and_errors():
+    seen = Counter()
+    for seed in range(100):
+        for topo, states, meters, kw in simulation_cases(seed):
+            outcome = simulation_outcome(
+                reference_simulate_interval, topo, states, meters, **kw)
+            if outcome[0] in (InvalidIdError, UnknownNodeError):
+                seen[outcome[0].__name__] += 1
+                continue
+            readings, frtus = outcome
+            seen["noise"] += kw["noise"] > 0
+            seen["losses"] += kw["loss_factor"] > 0
+            for m in meters:
+                if m.tamper is not None:
+                    seen[m.tamper.kind.value] += 1
+            covered = set().union(*(fr.covered_nodes for fr in frtus))
+            seen["dark"] += any(r.true_kwh == 0.0 for r in readings)
+            seen["island"] += any(r.true_kwh > 0.0 and r.node not in covered
+                                  for r in readings)
+            seen["empty FRTU"] += any(not fr.covered_nodes for fr in frtus)
+            seen["unmetered FRTU"] += any(
+                fr.covered_nodes and not {r.node for r in readings} & fr.covered_nodes
+                for fr in frtus)
+    assert len(seen) == 11 and min(seen.values()) >= 20, seen
+
+
+def test_sim_run_and_oracle_build_no_meter_reading(tmp_path, monkeypatch, capsys):
+    built = []
+    real = metering.MeterReading
+
+    def counting(**fields):
+        built.append(fields["meter_id"])
+        return real(**fields)
+
+    monkeypatch.setattr(metering, "MeterReading", counting)
+    scenario = str(SCENARIO_DIR / "tamper_node5.json")
+    assert cli.main(["sim", "run", scenario, "--out", str(tmp_path / "h.csv")]) == 0
+    sc = load_scenario(scenario)
+    oracle = SimulationOracle(sc.topology, sc.meters, sc.seed, threshold=sc.threshold)
+    report = localize(sc.topology, sc.alarm_edge, oracle)
+    assert report.final_suspects == (5,)
+    assert built == []
+    interval = simulate_interval(sc.topology, sc.topology.normal_states(), sc.meters, 1)
+    assert len(interval.readings) == len(built) == len(sc.meters)
+    assert interval.readings is interval.readings
+    assert len(built) == len(sc.meters)
+
+
+# ------------------------------------------------------- scenario checking
+
+def _scenario_file(tmp_path, **overrides):
+    doc = json.loads((SCENARIO_DIR / "tamper_node5.json").read_text())
+    doc["topology"] = str(SCENARIO_DIR / doc["topology"])
+    meter = overrides.pop("meter", {})
+    doc["meters"][0].update(meter)
+    doc.update(overrides)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"noise": float("nan")}, "noise"),
+    ({"noise": -0.01}, "noise"),
+    ({"noise": 1.5}, "noise"),
+    ({"loss_factor": -0.05}, "loss_factor"),
+    ({"loss_factor": float("inf")}, "loss_factor"),
+    ({"threshold": -0.2}, "threshold"),
+    ({"threshold": float("nan")}, "threshold"),
+    ({"meter": {"base_load_kwh": -1.0}}, "base_load_kwh"),
+    ({"meter": {"base_load_kwh": float("nan")}}, "base_load_kwh"),
+    ({"meter": {"tamper": {"mode": "fixed", "value": float("inf")}}}, "tamper value"),
+])
+def test_load_scenario_rejects_non_finite_and_out_of_range_numbers(
+        tmp_path, capsys, overrides, message):
+    path = _scenario_file(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=message):
+        load_scenario(path)
+    assert cli.main(["sim", "run", str(path), "--out", str(tmp_path / "h.csv")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_load_scenario_accepts_the_range_ends(tmp_path):
+    path = _scenario_file(tmp_path, noise=1.0, loss_factor=0.0, threshold=0.0,
+                          meter={"base_load_kwh": 0.0})
+    sc = load_scenario(path)
+    assert (sc.noise, sc.loss_factor, sc.threshold) == (1.0, 0.0, 0.0)
+    assert sc.meters[0].base_load_kwh == 0.0

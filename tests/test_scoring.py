@@ -155,6 +155,13 @@ def test_flag_profile_requires_positive_threshold():
         flag_profile(profile, 0.0)
 
 
+def test_flag_profile_rejects_a_nan_threshold():
+    # NaN compares false with everything, so it would flag nothing.
+    profile = ConsumptionProfile("M-01", (10.0,), (0.0,))
+    with pytest.raises(ValueError):
+        flag_profile(profile, math.nan)
+
+
 # ---------------------------------------------------------------- windows
 
 def test_score_window_mixed_example():
