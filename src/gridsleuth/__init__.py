@@ -30,6 +30,7 @@ from .metering import (
     feeder_discrepancy,
     load_scenario,
     simulate_interval,
+    simulate_intervals,
 )
 from .planner import LocalizationReport, localize
 from .scoring import MeterScore, rank_meters, score_window
@@ -80,6 +81,7 @@ __all__ = [
     "rank_meters",
     "score_window",
     "simulate_interval",
+    "simulate_intervals",
     "suspect_nodes",
     "validate_operating_state",
     "__version__",

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -44,7 +46,7 @@ from .metering import (
     detect,
     feeder_discrepancy,
     load_scenario,
-    simulate_interval,
+    simulate_intervals,
 )
 from .planner import localize
 from .scoring import (
@@ -220,18 +222,25 @@ def _history_text(interval: MeterInterval, prefixes: list[str]) -> str:
 
     ``prefixes`` holds each meter's quoted ``meter_id,node,`` cells. Each
     FRTU's two cells and the line end are quoted once; index -1 (no FRTU)
-    picks two empty cells.
+    picks two empty cells. A reported value that equals the true value bit
+    for bit (every honest meter) reuses the true value's text, so only
+    tampered values are formatted again.
     """
     tails = [_csv_line(fr.frtu, f"{fr.aggregate_kwh:.6f}") for fr in interval.frtu_readings]
     tails.append(_csv_line("", ""))
-    reported = [f"{x:.6f}" for x in interval.reported_kwh.tolist()]
+    true_kwh, reported_kwh = interval.true_kwh, interval.reported_kwh
+    true_text = [f"{x:.6f}" for x in true_kwh.tolist()]
+    reported = true_text.copy()
+    at = np.flatnonzero(reported_kwh.view(np.uint64) != true_kwh.view(np.uint64))
+    for i, x in zip(at.tolist(), reported_kwh[at].tolist()):
+        reported[i] = f"{x:.6f}"
     for i in np.flatnonzero(interval.silenced).tolist():
         reported[i] = ""
     k = interval.index
     return "".join([
-        f"{k},{prefix}{true_kwh:.6f},{rep},{tails[j]}"
-        for prefix, true_kwh, rep, j in zip(
-            prefixes, interval.true_kwh.tolist(), reported, interval.frtu_index.tolist())
+        f"{k},{prefix}{true},{rep},{tails[j]}"
+        for prefix, true, rep, j in zip(
+            prefixes, true_text, reported, interval.frtu_index.tolist())
     ])
 
 
@@ -242,15 +251,11 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     if intervals <= 0:
         raise DimensionMismatchError(f"interval count must be positive, got {intervals}")
     topo = scenario.topology
-    states = topo.normal_states()
-    simulated = (
-        simulate_interval(
-            topo, states, scenario.meters, seed,
-            noise=scenario.noise, loss_factor=scenario.loss_factor, index=k)
-        for k in range(intervals)
-    )
-    # Interval 0 runs before --out is opened, so a meter on a non-load node
-    # raises before the file is created or truncated.
+    # The state and the meters are checked before --out is opened, so a
+    # meter on a non-load node leaves no file, or an existing one untouched.
+    simulated = simulate_intervals(
+        topo, topo.normal_states(), scenario.meters, seed, range(intervals),
+        noise=scenario.noise, loss_factor=scenario.loss_factor)
     first = next(simulated)
     out = Path(args.out)
     if out.parent != Path(""):
@@ -321,6 +326,15 @@ def cmd_localize_run(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    """Rank the meters on ``--node`` from the reading history.
+
+    Every row is checked: it must carry the interval, meter_id, node and
+    reported_kwh columns, with integer interval and node cells and an empty
+    or numeric reported_kwh, or the command exits 1 whichever node the row
+    names. Only rows whose node cell is ``--node`` make up the series, so a
+    meter whose rows name two nodes is scored on each node from the rows
+    that name it. A repeated (meter, interval) keeps its last row.
+    """
     threshold = args.deviation_threshold
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(
@@ -329,7 +343,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     base_by_meter = {m.meter_id: m for m in scenario.meters}
 
     per_meter: dict[str, dict[int, float | None]] = {}
-    meter_node: dict[str, int] = {}
+    # Node and interval cells repeat, so each distinct string is read once.
+    to_int = functools.cache(int)
     try:
         with open(args.history, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -340,25 +355,17 @@ def cmd_score(args: argparse.Namespace) -> int:
             if not column.keys() >= set(required):
                 raise ValueError(
                     f"history CSV must carry columns {sorted(required)}")
-            at_interval, at_meter, at_node, at_reported = (
-                column[name] for name in required)
-            for row in reader:
-                if not row:
-                    continue
-                meter_id = row[at_meter]
-                node = int(row[at_node])
-                k = int(row[at_interval])
-                reported = row[at_reported]
-                meter_node[meter_id] = node
-                per_meter.setdefault(meter_id, {})[k] = (
-                    None if reported == "" else float(reported))
+            cells = operator.itemgetter(*(column[name] for name in required))
+            for k, meter_id, node, reported in map(cells, filter(None, reader)):
+                node, k = to_int(node), to_int(k)
+                value = None if reported == "" else float(reported)
+                if node == args.node:
+                    per_meter.setdefault(meter_id, {})[k] = value
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed history CSV {args.history}: {exc}") from exc
 
     entries = []
     for meter_id in sorted(per_meter):
-        if meter_node[meter_id] != args.node:
-            continue
         series = per_meter[meter_id]
         window = [series[k] for k in sorted(series)]
         meter = base_by_meter.get(meter_id)

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .energize import energized_nodes, frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
-from .topology import Topology, load_topology, states_to_string
+from .topology import Topology, int_field, load_topology, states_to_string
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -108,22 +108,27 @@ class MeterInterval:
         raise UnknownFrtuError(f"no FRTU named {name!r} in this interval")
 
 
-def simulate_interval(
+def simulate_intervals(
     topo: Topology,
     states: np.ndarray,
     meters: Sequence[CustomerMeter],
     seed: int,
+    indices: Iterable[int],
     *,
     noise: float = 0.0,
     loss_factor: float = 0.0,
-    index: int = 0,
-) -> MeterInterval:
-    """Simulate one metering interval under the given switch states.
+) -> Iterator[MeterInterval]:
+    """Simulate the metering intervals ``indices`` under one switch state.
 
     A load consumes when closed switches connect it to a substation or a
     DG. Loads in a DG-backed island keep consuming (the microgrid supplies
     them) but fall out of every FRTU aggregate. Loads that are simply dark
     consume nothing. Tampering affects only the reported value.
+
+    The state and the meters are checked, and everything that depends only
+    on them (energization, coverage, each meter's FRTU, base loads and
+    tamper masks) is computed, before this returns; the iterator then draws,
+    masks and sums one interval per index, in the order given.
     """
     states = topo.check_states(states)
     meters = tuple(meters)
@@ -137,22 +142,14 @@ def simulate_interval(
 
     powered = energized_nodes(
         topo, states, topo.source_vector() | topo.dg_vector())[at] != 0
-    # One generator per (seed, interval) and one draw per meter, in meter
-    # order, so a meter's true load never depends on which meters alarm or
-    # which switches moved.
-    draws = np.random.default_rng([seed, index]).uniform(
-        1.0 - noise, 1.0 + noise, size=len(meters))
     base = np.array([m.base_load_kwh for m in meters], dtype=float)
-    true_kwh = np.where(powered, base * draws, 0.0)
-
     is_kind = {kind: np.zeros(len(meters), dtype=bool) for kind in TamperKind}
     value = np.zeros(len(meters))
     for i, m in enumerate(meters):
         if m.tamper is not None:
             is_kind[m.tamper.kind][i] = True
             value[i] = m.tamper.value
-    reported = np.where(is_kind[TamperKind.FIXED], value, true_kwh)
-    np.multiply(true_kwh, value, out=reported, where=is_kind[TamperKind.SCALE])
+    fixed, scale = is_kind[TamperKind.FIXED], is_kind[TamperKind.SCALE]
     silenced = is_kind[TamperKind.OUTAGE]
 
     coverage = frtu_coverage(topo, states)
@@ -161,29 +158,62 @@ def simulate_interval(
     for j, frtu in enumerate(names):
         node_frtu[np.fromiter(coverage[frtu], dtype=np.intp) - 1] = j
     frtu_index = node_frtu[at]
-    # Coverages are disjoint, and bincount adds each FRTU's weights one by
-    # one in meter order, so its sums are left-to-right sums over readings.
     metered = frtu_index >= 0
-    aggregate = np.bincount(
-        frtu_index[metered], weights=true_kwh[metered], minlength=len(names),
-    ) * (1.0 + loss_factor)
     sent = metered & ~silenced
-    reported_sum = np.bincount(
-        frtu_index[sent], weights=reported[sent], minlength=len(names))
-    frtu_readings = tuple(
-        FrtuReading(frtu=frtu, edge=topo.frtu_edges[frtu], aggregate_kwh=agg,
-                    reported_sum_kwh=rep, covered_nodes=coverage[frtu])
-        for frtu, agg, rep in zip(names, aggregate.tolist(), reported_sum.tolist()))
-    return MeterInterval(
-        index=index,
-        states=tuple(states.tolist()),
-        meters=meters,
-        true_kwh=true_kwh,
-        reported_kwh=reported,
-        silenced=silenced,
-        frtu_index=frtu_index,
-        frtu_readings=frtu_readings,
-    )
+    metered_frtu, sent_frtu = frtu_index[metered], frtu_index[sent]
+    # Every interval shares these columns, so none may be written to.
+    for column in (silenced, frtu_index):
+        column.flags.writeable = False
+    state = tuple(states.tolist())
+
+    def interval(index: int) -> MeterInterval:
+        # One generator per (seed, interval) and one draw per meter, in
+        # meter order, so a meter's true load never depends on which meters
+        # alarm or which switches moved.
+        draws = np.random.default_rng([seed, index]).uniform(
+            1.0 - noise, 1.0 + noise, size=len(meters))
+        true_kwh = np.where(powered, base * draws, 0.0)
+        reported = np.where(fixed, value, true_kwh)
+        np.multiply(true_kwh, value, out=reported, where=scale)
+        # Coverages are disjoint, and bincount adds each FRTU's weights one
+        # by one in meter order, so its sums are left-to-right sums over
+        # readings.
+        aggregate = np.bincount(
+            metered_frtu, weights=true_kwh[metered], minlength=len(names),
+        ) * (1.0 + loss_factor)
+        reported_sum = np.bincount(
+            sent_frtu, weights=reported[sent], minlength=len(names))
+        return MeterInterval(
+            index=index,
+            states=state,
+            meters=meters,
+            true_kwh=true_kwh,
+            reported_kwh=reported,
+            silenced=silenced,
+            frtu_index=frtu_index,
+            frtu_readings=tuple(
+                FrtuReading(frtu=frtu, edge=topo.frtu_edges[frtu], aggregate_kwh=agg,
+                            reported_sum_kwh=rep, covered_nodes=coverage[frtu])
+                for frtu, agg, rep in zip(
+                    names, aggregate.tolist(), reported_sum.tolist())),
+        )
+
+    return map(interval, indices)
+
+
+def simulate_interval(
+    topo: Topology,
+    states: np.ndarray,
+    meters: Sequence[CustomerMeter],
+    seed: int,
+    *,
+    noise: float = 0.0,
+    loss_factor: float = 0.0,
+    index: int = 0,
+) -> MeterInterval:
+    """Simulate the one metering interval ``index``; see ``simulate_intervals``."""
+    return next(simulate_intervals(
+        topo, states, meters, seed, (index,), noise=noise, loss_factor=loss_factor))
 
 
 def feeder_discrepancy(interval: MeterInterval, frtu: str) -> float:
@@ -232,7 +262,9 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file; the topology path resolves against it.
 
     Noise must lie in [0, 1]; losses, the threshold and base loads must be
-    nonnegative; and every number must be finite (``json`` reads ``NaN``).
+    nonnegative; every number must be finite (``json`` reads ``NaN``); and
+    the seed, interval count, alarm edge, ground truth and meter nodes must
+    be integers, not booleans or numbers with a fractional part.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -241,7 +273,7 @@ def load_scenario(path: str | Path) -> Scenario:
     meters = tuple(
         CustomerMeter(
             meter_id=m["meter_id"],
-            node=int(m["node"]),
+            node=int_field(f"meter {m['meter_id']} node", m["node"]),
             base_load_kwh=_in_range(
                 f"meter {m['meter_id']} base_load_kwh", m["base_load_kwh"]),
             tamper=Tamper.from_dict(m["tamper"]) if m.get("tamper") else None,
@@ -251,13 +283,14 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         topology=topo,
         meters=meters,
-        seed=int(raw["seed"]),
+        seed=int_field("seed", raw["seed"]),
         noise=_in_range("noise", raw.get("noise", 0.0), 1.0),
         loss_factor=_in_range("loss_factor", raw.get("loss_factor", 0.0)),
         threshold=_in_range("threshold", raw.get("threshold", DEFAULT_THRESHOLD)),
-        intervals=int(raw.get("intervals", 1)),
-        alarm_edge=int(raw["alarm_edge"]) if raw.get("alarm_edge") is not None else None,
-        ground_truth=tuple(int(n) for n in raw.get("ground_truth", ())),
+        intervals=int_field("intervals", raw.get("intervals", 1)),
+        alarm_edge=(int_field("alarm_edge", raw["alarm_edge"])
+                    if raw.get("alarm_edge") is not None else None),
+        ground_truth=tuple(int_field("ground_truth", n) for n in raw.get("ground_truth", ())),
     )
 
 

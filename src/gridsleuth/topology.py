@@ -185,6 +185,23 @@ def build_topology(spec: Mapping) -> Topology:
     return topo
 
 
+def int_field(name: str, value) -> int:
+    """``value`` as the integer that the input field ``name`` must hold.
+
+    A boolean, or a number with a fractional part (NaN and infinities
+    included), raises ``ValueError`` naming the field rather than being
+    truncated by ``int()``.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def load_topology(path: str | Path) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         return build_topology(json.load(fh))
@@ -194,7 +211,7 @@ def _parse_nodes(items: Iterable[Mapping]) -> tuple[Node, ...]:
     nodes: list[Node] = []
     seen: set[int] = set()
     for pos, item in enumerate(items, start=1):
-        nid = int(item["id"])
+        nid = int_field("node id", item["id"])
         if nid in seen:
             raise DuplicateIdError(f"duplicate node id {nid}")
         if nid != pos:
@@ -214,7 +231,7 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
     seen: set[int] = set()
     seen_pairs: set[frozenset[int]] = set()
     for pos, item in enumerate(items, start=1):
-        eid = int(item["id"])
+        eid = int_field("edge id", item["id"])
         if eid in seen:
             raise DuplicateIdError(f"duplicate edge id {eid}")
         if eid != pos:
@@ -222,7 +239,8 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
                 f"edge ids must be consecutive from 1 in listed order; "
                 f"position {pos} has id {eid}")
         seen.add(eid)
-        u, v = int(item["from"]), int(item["to"])
+        u = int_field(f"edge {eid} from", item["from"])
+        v = int_field(f"edge {eid} to", item["to"])
         if u == v:
             raise SelfLoopError(f"edge {eid} connects node {u} to itself")
         for endpoint in (u, v):

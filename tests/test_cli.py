@@ -12,6 +12,7 @@ import pytest
 
 from gridsleuth import cli
 from gridsleuth.cli import build_parser, main
+from gridsleuth.metering import CustomerMeter, Tamper, TamperKind, simulate_interval
 from gridsleuth.networks import ct8
 from gridsleuth.topology import adjacency_from_incidence, states_from_string
 
@@ -389,6 +390,38 @@ def test_score_rejects_a_short_row(tmp_path, capsys):
     assert f"malformed history CSV {tmp_path / 'history.csv'}: " in printed
 
 
+@pytest.mark.parametrize("row", [
+    "x,M-02,2,10.0",     # junk interval
+    "1,M-02,2,ten",      # junk reported_kwh
+    "1,M-02,two,10.0",   # junk node
+    "1,M-02,2.0,10.0",   # a node cell int() does not read
+    "1,M-02,2",          # short row
+])
+def test_score_checks_rows_of_other_nodes(tmp_path, capsys, row):
+    history = ("interval,meter_id,node,reported_kwh\n"
+               f"0,M-05,5,0.0\n0,M-02,2,10.0\n{row}\n1,M-05,5,0.0\n")
+    code, printed, _ = _score_text(tmp_path, capsys, history, 5)
+    assert code == 1
+    assert f"malformed history CSV {tmp_path / 'history.csv'}: " in printed
+
+
+def test_score_reads_a_meter_on_each_node_from_the_rows_naming_it(tmp_path, capsys):
+    history = (
+        "interval,meter_id,node,reported_kwh\n"
+        "0,M-05,5,0.0\n"
+        "1,M-05,4,10.0\n"
+        "2,M-05,5,0.0\n"
+        "3,M-05,4,10.0\n")
+    rows = {}
+    for node in (5, 4):
+        code, printed, scores = _score_text(tmp_path, capsys, history, node)
+        assert code == 0 and printed.startswith("wrote 1 meter scores")
+        rows[node] = scores.splitlines()[1].split(",")
+    # M-05's base load is 10 kWh: its node-5 rows read 0, its node-4 rows 10.
+    assert [rows[5][:2], rows[4][:2]] == [["M-05", "5"], ["M-05", "4"]]
+    assert (float(rows[5][2]), float(rows[4][2])) == (pytest.approx(1.0), 0.0)
+
+
 def test_score_header_only_history(tmp_path, capsys):
     history = "interval,meter_id,node,true_kwh,reported_kwh,frtu,frtu_kwh\n"
     code, printed, scores = _score_text(tmp_path, capsys, history, 5)
@@ -452,6 +485,9 @@ AWKWARD_METERS = [
     {"meter_id": " M-7,\"", "node": 7, "base_load_kwh": 12.0,
      "tamper": {"mode": "fixed", "value": 3.0}},
     {"meter_id": "M-9", "node": 9, "base_load_kwh": 4.0},
+    # Reports its true value bit for bit although it carries a tamper.
+    {"meter_id": "M=4", "node": 4, "base_load_kwh": 6.0,
+     "tamper": {"mode": "scale", "value": 1.0}},
 ]
 
 
@@ -464,15 +500,16 @@ def test_sim_run_history_equals_the_row_builder(tmp_path, monkeypatch, capsys, v
     scn = _write_json(tmp_path / "s.json", _scenario(
         topo_path, AWKWARD_METERS, noise=0.05, loss_factor=0.03, intervals=3))
     intervals = []
-    real = cli.simulate_interval
+    real = cli.simulate_intervals
 
     def simulate(topo, states, *args, **kwargs):
         if vr is not None:
             states = states_from_string(vr + "1", topo)
-        intervals.append(real(topo, states, *args, **kwargs))
-        return intervals[-1]
+        for interval in real(topo, states, *args, **kwargs):
+            intervals.append(interval)
+            yield interval
 
-    monkeypatch.setattr(cli, "simulate_interval", simulate)
+    monkeypatch.setattr(cli, "simulate_intervals", simulate)
     out = tmp_path / "history.csv"
     assert main(["sim", "run", scn, "--out", str(out)]) == 0
 
@@ -495,6 +532,30 @@ def test_sim_run_history_equals_the_row_builder(tmp_path, monkeypatch, capsys, v
                      "--out", str(scores)]) == 0
         with open(scores, newline="") as fh:
             assert [r["meter_id"] for r in csv.DictReader(fh)] == [meter["meter_id"]]
+
+
+def test_history_text_keeps_a_negative_zero_report():
+    # Edge 5 open strands node 5, so its meters draw 0.0. A negative scale
+    # or a fixed -0.0 then reports -0.0: equal to 0.0 under ==, but not bit
+    # for bit, and it prints as -0.000000.
+    t = ct8()
+    meters = [
+        CustomerMeter("M-5a", 5, 10.0, Tamper(TamperKind.SCALE, -1.0)),
+        CustomerMeter("M-5b", 5, 10.0, Tamper(TamperKind.FIXED, -0.0)),
+        CustomerMeter("M-5c", 5, 10.0),
+        CustomerMeter("M-2", 2, 10.0, Tamper(TamperKind.SCALE, 1.0)),
+    ]
+    interval = simulate_interval(
+        t, states_from_string("1110011", t), meters, seed=3, noise=0.1, index=2)
+    prefixes = [cli._csv_line(m.meter_id, m.node, "").removesuffix("\r\n")
+                for m in meters]
+    text = cli._history_text(interval, prefixes)
+    expected = io.StringIO()
+    csv.writer(expected).writerows(reference_history_rows(interval))
+    assert text == expected.getvalue()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [row[4] for row in rows[:3]] == ["-0.000000", "-0.000000", "0.000000"]
+    assert rows[3][4] == rows[3][3] != "10.000000"
 
 
 # -------------------------------------------------------------- exit codes

@@ -306,16 +306,18 @@ def test_sim_run_simulates_each_interval_once(tmp_path, monkeypatch, capsys, int
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["index"])
-        return real(*args, **kwargs)
+        calls.append("state")
+        for interval in real(*args, **kwargs):
+            calls.append(interval.index)
+            yield interval
 
-    real = cli.simulate_interval
-    monkeypatch.setattr(cli, "simulate_interval", counting)
+    real = cli.simulate_intervals
+    monkeypatch.setattr(cli, "simulate_intervals", counting)
     out = tmp_path / "history.csv"
     code = cli.main(["sim", "run", SCENARIO, "--intervals", str(intervals),
                      "--out", str(out)])
     assert code == 0
-    assert calls == list(range(intervals))
+    assert calls == ["state", *range(intervals)]
     assert "alarms at interval 0: FRTU_2" in capsys.readouterr().out
 
 

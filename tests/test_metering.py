@@ -3,7 +3,9 @@
 ``reference_simulate_interval`` is the per-meter loop the columnar
 simulator replaced: one ``MeterReading`` per meter, then one sum per FRTU
 over the readings it meters. ``simulate_interval`` must give the same
-readings, the same FRTU sums under ``==`` and the same placement errors.
+readings, the same FRTU sums under ``==`` and the same placement errors,
+and ``simulate_intervals`` over several indices must give what one
+``simulate_interval`` call per index gives.
 """
 
 import json
@@ -33,6 +35,7 @@ from gridsleuth.metering import (
     feeder_discrepancy,
     load_scenario,
     simulate_interval,
+    simulate_intervals,
 )
 from gridsleuth.networks import ct8
 from gridsleuth.planner import localize
@@ -328,12 +331,35 @@ def simulation_cases(seed):
         yield topo, states, random_meters(topo, rng), kw
 
 
+def interval_columns(simulate):
+    """(index, readings, FRTU readings, column bytes) of each interval that
+    ``simulate()`` returns, or the error's type and message."""
+    try:
+        return [
+            (got.index, got.readings, got.frtu_readings,
+             *(col.tobytes() for col in (got.true_kwh, got.reported_kwh,
+                                         got.silenced, got.frtu_index)))
+            for got in simulate()
+        ]
+    except (InvalidIdError, UnknownNodeError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_columnar_simulation_matches_per_meter_loop(seed):
     for topo, states, meters, kw in simulation_cases(seed):
         got = simulation_outcome(simulate_interval, topo, states, meters, **kw)
         want = simulation_outcome(reference_simulate_interval, topo, states, meters, **kw)
         assert got == want
+        # One state simulated for 1-3 intervals at once equals one call per
+        # interval, errors included.
+        n = 1 + kw["index"] % 3
+        seed_, rest = kw["seed"], {"noise": kw["noise"], "loss_factor": kw["loss_factor"]}
+        assert interval_columns(
+            lambda: simulate_intervals(topo, states, meters, seed_, range(n), **rest)
+        ) == interval_columns(lambda: [
+            simulate_interval(topo, states, meters, seed_, index=k, **rest)
+            for k in range(n)])
 
 
 def test_simulation_cases_cover_tampers_dark_loads_islands_and_errors():
@@ -425,3 +451,64 @@ def test_load_scenario_accepts_the_range_ends(tmp_path):
     sc = load_scenario(path)
     assert (sc.noise, sc.loss_factor, sc.threshold) == (1.0, 0.0, 0.0)
     assert sc.meters[0].base_load_kwh == 0.0
+
+
+def _set(key):
+    return lambda doc, topo, value: doc.update({key: value})
+
+
+# (field named in the error, how to put a value in the scenario or topology)
+INTEGER_FIELDS = [
+    ("seed", _set("seed")),
+    ("intervals", _set("intervals")),
+    ("alarm_edge", _set("alarm_edge")),
+    ("ground_truth", lambda doc, topo, value: doc.update(ground_truth=[value])),
+    ("meter M-02 node", lambda doc, topo, value: doc["meters"][0].update(node=value)),
+    ("node id", lambda doc, topo, value: topo["nodes"][1].update(id=value)),
+    ("edge id", lambda doc, topo, value: topo["edges"][1].update(id=value)),
+    ("edge 2 from", lambda doc, topo, value: topo["edges"][1].update({"from": value})),
+    ("edge 2 to", lambda doc, topo, value: topo["edges"][1].update(to=value)),
+]
+
+
+@pytest.mark.parametrize("value", [5.6, 2.0000001, True, False, float("inf"), "x"])
+@pytest.mark.parametrize("field, put", INTEGER_FIELDS, ids=[f for f, _ in INTEGER_FIELDS])
+def test_integer_fields_reject_booleans_and_fractions(tmp_path, capsys, field, put, value):
+    doc = json.loads((SCENARIO_DIR / "tamper_node5.json").read_text())
+    topo = json.loads((SCENARIO_DIR / "ct8.json").read_text())
+    put(doc, topo, value)
+    (tmp_path / "topo.json").write_text(json.dumps(topo))
+    doc["topology"] = "topo.json"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        load_scenario(path)
+    assert cli.main(["sim", "run", str(path), "--out", str(tmp_path / "h.csv")]) == 1
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def _as_floats(doc):
+    """``doc`` with every integer (not boolean) written as a float."""
+    if isinstance(doc, dict):
+        return {key: _as_floats(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_as_floats(value) for value in doc]
+    return float(doc) if type(doc) is int else doc
+
+
+def test_integer_fields_accept_whole_floats(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "tamper_node5.json").read_text())
+    topo = json.loads((SCENARIO_DIR / "ct8.json").read_text())
+    (tmp_path / "topo.json").write_text(json.dumps(_as_floats(topo)))
+    doc = _as_floats(doc) | {"topology": "topo.json"}
+    assert doc["seed"] == 7.0 and type(doc["seed"]) is float
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    got, want = load_scenario(path), load_scenario(SCENARIO_DIR / "tamper_node5.json")
+    assert (got.seed, got.intervals, got.alarm_edge, got.ground_truth) == (
+        want.seed, want.intervals, want.alarm_edge, want.ground_truth)
+    assert type(got.seed) is type(got.intervals) is type(got.alarm_edge) is int
+    assert [m.node for m in got.meters] == [m.node for m in want.meters]
+    assert got.topology.nodes == want.topology.nodes
+    assert got.topology.edges == want.topology.edges
