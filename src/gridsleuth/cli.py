@@ -46,6 +46,7 @@ from .metering import (
     detect,
     feeder_discrepancy,
     load_scenario,
+    seed_field,
     simulate_intervals,
 )
 from .planner import localize
@@ -131,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_seed(file_seed: int, flag_seed: int | None) -> int:
     env = os.environ.get("GRIDSLEUTH_SEED")
     if env is not None:
-        return int(env)
+        return seed_field("GRIDSLEUTH_SEED", env)
     if flag_seed is not None:
-        return flag_seed
+        return seed_field("--seed", flag_seed)
     return file_seed
 
 

@@ -2,23 +2,18 @@
 
 The central operation: given the switch states, which nodes receive power
 from the substation sources? That is reachability over closed switches,
-answered by one union-find labelling of the switched network. Suspect sets
-and outage accounting are phrased in terms of this vector; FRTU coverage
-labels the closed non-breaker edges once and reads every feeder off that.
+answered by one breadth-first labelling (``topology.label``) from a virtual
+root linked to the sources. Suspect sets and outage accounting are phrased
+in terms of this vector; FRTU coverage labels the closed non-breaker edges
+once and reads every feeder off that.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotABreakerError
-from .topology import (
-    EdgeKind,
-    Topology,
-    component_roots,
-    incidence_pairs,
-    source_reachable,
-)
+from .errors import DimensionMismatchError, NotABreakerError
+from .topology import EdgeKind, Topology, incidence_lists, incidence_pairs, label
 
 
 def energized_from_incidence(
@@ -30,7 +25,10 @@ def energized_from_incidence(
     ``sources`` entry is nonzero.
     """
     pairs = incidence_pairs(incidence, states)
-    return source_reachable(np.asarray(incidence).shape[0], pairs, sources)
+    n = np.asarray(incidence).shape[0]
+    feeds = _source_ids(sources, n)
+    incidence = incidence_lists(n, [(u + 1, v + 1) for u, v in pairs])
+    return _fed(label(incidence, [1] * len(pairs), feeds)[0])
 
 
 def energized_nodes(
@@ -42,11 +40,22 @@ def energized_nodes(
     model DG-backed islands or hypothetical injections.
     """
     states = topo.check_states(states)
-    if sources is None:
-        sources = topo.source_vector()
-    else:
-        sources = topo.check_node_flags(sources)
-    return source_reachable(topo.n_nodes, topo.closed_pairs(states), sources)
+    feeds = topo.source_ids if sources is None else _source_ids(sources, topo.n_nodes)
+    return _fed(label(topo.incident, states.tolist(), feeds)[0])
+
+
+def _source_ids(sources: np.ndarray, n_nodes: int) -> list[int]:
+    """Ids 1..n of the nodes whose entry in a per-node source vector is nonzero."""
+    src = np.asarray(sources)
+    if src.shape != (n_nodes,):
+        raise DimensionMismatchError(
+            f"source vector has shape {src.shape}, expected ({n_nodes},)")
+    return (np.flatnonzero(src) + 1).tolist()
+
+
+def _fed(comp: list[int]) -> np.ndarray:
+    """0/1 flags of the nodes 1..n that a labelling puts in the root's component."""
+    return (np.array(comp, dtype=np.intp)[1:] == 0).view(np.uint8)
 
 
 def suspect_nodes(
@@ -82,21 +91,21 @@ def frtu_coverage(topo: Topology, states: np.ndarray) -> dict[str, frozenset[int
     breakers = sorted(topo.frtu_map)
     sections = states.copy()
     sections[[eid - 1 for eid in breakers]] = 0
-    roots = component_roots(topo, sections)
-    fed = {roots[i] for i in np.flatnonzero(topo.source_vector()).tolist()}
+    comp = label(topo.incident, sections.tolist(), topo.source_ids)[0]
     feeding: dict[int, set[int]] = {}
     for eid in breakers:
         if states[eid - 1]:
             edge = topo.edge(eid)
             for end in (edge.u, edge.v):
-                feeding.setdefault(roots[end - 1], set()).add(eid)
+                feeding.setdefault(comp[end], set()).add(eid)
+    # Component 0 is what the sources reach without crossing a breaker.
     only = {
         root: next(iter(eids))
-        for root, eids in feeding.items() if len(eids) == 1 and root not in fed
+        for root, eids in feeding.items() if len(eids) == 1 and root
     }
     covered: dict[int, list[int]] = {eid: [] for eid in breakers}
     for node in topo.load_ids:
-        eid = only.get(roots[node - 1])
+        eid = only.get(comp[node])
         if eid is not None:
             covered[eid].append(node)
     return {topo.frtu_map[eid]: frozenset(covered[eid]) for eid in breakers}

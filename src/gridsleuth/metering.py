@@ -41,11 +41,10 @@ class Tamper:
     value: float = 0.0
 
     @staticmethod
-    def from_dict(d: Mapping) -> "Tamper":
-        value = float(d.get("value", 0.0))
-        if not math.isfinite(value):
-            raise ValueError(f"tamper value must be finite, got {value}")
-        return Tamper(kind=TamperKind(d["mode"]), value=value)
+    def from_dict(d: Mapping, name: str = "tamper value") -> "Tamper":
+        """Read a tamper; a negative or non-finite value raises ``ValueError``
+        naming it as ``name``, since a meter never reports negative energy."""
+        return Tamper(kind=TamperKind(d["mode"]), value=_in_range(name, d.get("value", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -258,13 +257,22 @@ def _in_range(name: str, value, high: float = math.inf) -> float:
     return x
 
 
+def seed_field(name: str, value) -> int:
+    """``value`` as a random seed: an integer (see ``int_field``) of at least 0."""
+    seed = int_field(name, value)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file; the topology path resolves against it.
 
     Noise must lie in [0, 1]; losses, the threshold and base loads must be
-    nonnegative; every number must be finite (``json`` reads ``NaN``); and
-    the seed, interval count, alarm edge, ground truth and meter nodes must
-    be integers, not booleans or numbers with a fractional part.
+    nonnegative, and so must tamper values and the seed; every number must
+    be finite (``json`` reads ``NaN``); and the seed, interval count, alarm
+    edge, ground truth and meter nodes must be integers, not booleans or
+    numbers with a fractional part.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -276,14 +284,15 @@ def load_scenario(path: str | Path) -> Scenario:
             node=int_field(f"meter {m['meter_id']} node", m["node"]),
             base_load_kwh=_in_range(
                 f"meter {m['meter_id']} base_load_kwh", m["base_load_kwh"]),
-            tamper=Tamper.from_dict(m["tamper"]) if m.get("tamper") else None,
+            tamper=(Tamper.from_dict(m["tamper"], f"meter {m['meter_id']} tamper value")
+                    if m.get("tamper") else None),
         )
         for m in raw["meters"]
     )
     return Scenario(
         topology=topo,
         meters=meters,
-        seed=int_field("seed", raw["seed"]),
+        seed=seed_field("seed", raw["seed"]),
         noise=_in_range("noise", raw.get("noise", 0.0), 1.0),
         loss_factor=_in_range("loss_factor", raw.get("loss_factor", 0.0)),
         threshold=_in_range("threshold", raw.get("threshold", DEFAULT_THRESHOLD)),

@@ -41,14 +41,14 @@ class EdgeKind(Enum):
     TIE = "tie"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     kind: NodeKind
     has_dg: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     kind: EdgeKind
@@ -123,6 +123,14 @@ class Topology:
     def load_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes if n.kind is NodeKind.LOAD)
 
+    @cached_property
+    def source_ids(self) -> tuple[int, ...]:
+        return tuple(n.id for n in self.nodes if n.kind is NodeKind.SOURCE)
+
+    @cached_property
+    def incident(self) -> Incidence:
+        return incidence_lists(self.n_nodes, [(e.u, e.v) for e in self.edges])
+
     def normal_states(self) -> np.ndarray:
         """Switch vector of the normal operating state (ties open)."""
         return self._cached("normal", lambda: np.array(
@@ -141,12 +149,6 @@ class Topology:
     def incidence(self) -> np.ndarray:
         return self._cached("incidence", lambda: incidence_matrix(self))
 
-    def closed_pairs(self, states: np.ndarray) -> list[list[int]]:
-        """Endpoints (0-based node positions) of the closed edges."""
-        return self._cached("ends", lambda: np.array(
-            [(e.u - 1, e.v - 1) for e in self.edges], dtype=np.intp
-        ).reshape(-1, 2))[np.asarray(states) != 0].tolist()
-
     def _cached(self, key: str, make) -> np.ndarray:
         arr = self._frozen_arrays.get(key)
         if arr is None:
@@ -161,13 +163,6 @@ class Topology:
         if arr.shape != (self.n_edges,):
             raise DimensionMismatchError(
                 f"switch vector has shape {arr.shape}, expected ({self.n_edges},)")
-        return arr.astype(np.uint8)
-
-    def check_node_flags(self, flags: np.ndarray) -> np.ndarray:
-        arr = np.asarray(flags)
-        if arr.shape != (self.n_nodes,):
-            raise DimensionMismatchError(
-                f"source vector has shape {arr.shape}, expected ({self.n_nodes},)")
         return arr.astype(np.uint8)
 
 
@@ -268,21 +263,17 @@ def _validate_structure(topo: Topology) -> None:
                 raise BreakerNotAtSourceError(
                     f"breaker edge {edge.id} must join exactly one source node "
                     f"to the feeder (found {at_source} source endpoints)")
-    # Normal state (ties open) must be a forest giving every load exactly
-    # one substation source.
-    components = closed_components(topo, topo.normal_states())
-    for comp in components:
-        n_sources = len(comp & sources)
-        if n_sources == 0 and any(
-            topo.node(i).kind is NodeKind.LOAD for i in comp
-        ):
-            raise NonRadialNormalStateError(
-                f"loads {sorted(comp)} have no substation source in the normal state")
-        if n_sources > 1:
-            raise NonRadialNormalStateError(
-                f"component {sorted(comp)} joins {n_sources} substation sources")
-    if not _union_all(list(range(topo.n_nodes)), topo.closed_pairs(topo.normal_states())):
-        raise NonRadialNormalStateError("normal state contains a closed loop")
+    # The normal state (ties open) must feed every load from exactly one
+    # substation source: no load outside the root's component, and no loop.
+    normal = topo.normal_states()
+    comp = label(topo.incident, normal.tolist(), topo.source_ids)[0]
+    unfed = [node for node, root in enumerate(comp) if root]
+    if unfed:
+        raise NonRadialNormalStateError(
+            f"loads {unfed} have no substation source in the normal state")
+    if _closes_loop(topo, normal, comp):
+        raise NonRadialNormalStateError(
+            "normal state closes a loop or joins two substation sources")
 
 
 def incidence_matrix(topo: Topology) -> np.ndarray:
@@ -335,68 +326,63 @@ def _check_switched_incidence(
     return inc, st
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of ``x`` in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+Incidence = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-def _union_all(parent: list[int], pairs: Iterable[Sequence[int]]) -> bool:
-    """Join the sets of every pair in ``parent`` (Tarjan, JACM 1975).
+def incidence_lists(n_nodes: int, ends: Sequence[tuple[int, int]]) -> Incidence:
+    """The edges (u, v) of ``ends`` at each node 1..n, as ``label`` walks them.
 
-    Returns True when each pair joined two different sets, i.e. the pairs
-    closed no cycle.
+    Edges are listed at a node in their order in ``ends``, and entry 0,
+    the virtual root's, is empty. Edge j's far end from node x is its end
+    id sum minus x.
     """
-    acyclic = True
-    for u, v in pairs:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            acyclic = False
-        else:
-            parent[ru] = rv
-    return acyclic
+    at: list[list[int]] = [[] for _ in range(n_nodes + 1)]
+    for j, (u, v) in enumerate(ends):
+        at[u].append(j)
+        at[v].append(j)
+    return tuple(map(tuple, at)), tuple(u + v for u, v in ends)
 
 
-def _component_roots(n: int, pairs: Iterable[Sequence[int]]) -> list[int]:
-    parent = list(range(n))
-    _union_all(parent, pairs)
-    return [_find(parent, i) for i in range(n)]
+def label(
+    incidence: Incidence, closed: Sequence[int], sources: Sequence[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Breadth-first labelling of a switched graph from a virtual root.
 
-
-def source_reachable(
-    n_nodes: int, pairs: Iterable[Sequence[int]], sources: np.ndarray
-) -> np.ndarray:
-    """0/1 flags of the nodes 0..n-1 that ``pairs`` connect to a source.
-
-    One union-find labelling: a node is reached when its component holds a
-    node whose ``sources`` entry is nonzero.
+    Edge j of ``incidence`` conducts when ``closed[j]`` is nonzero. The
+    root, node 0, links to each node of ``sources``, so component 0 is the
+    set they feed; any other component is rooted at its smallest node.
+    Returns, per node, its component root, its parent (-1 at a root), the
+    id of the edge to its parent (0 at a root and a source), and the visit
+    order, which lists parents before their children.
     """
-    src = np.asarray(sources)
-    if src.shape != (n_nodes,):
-        raise DimensionMismatchError(
-            f"source vector has shape {src.shape}, expected ({n_nodes},)")
-    roots = _component_roots(n_nodes, pairs)
-    fed = {roots[i] for i in np.flatnonzero(src).tolist()}
-    return np.fromiter((r in fed for r in roots), dtype=np.uint8, count=n_nodes)
+    at, ends = incidence
+    size = len(at)
+    comp, parent, parent_edge = [-1] * size, [-1] * size, [0] * size
+    order: list[int] = []
+    for root in range(size):
+        if comp[root] >= 0:
+            continue
+        comp[root] = root
+        queue = [root]
+        if not root:
+            for s in sources:
+                comp[s], parent[s] = 0, 0
+            queue += sources
+        for x in queue:
+            for j in at[x]:
+                if closed[j]:
+                    y = ends[j] - x
+                    if comp[y] < 0:
+                        comp[y], parent[y], parent_edge[y] = root, x, j + 1
+                        queue.append(y)
+        order += queue
+    return comp, parent, parent_edge, order
 
 
-def component_roots(topo: Topology, states: np.ndarray) -> list[int]:
-    """Component label of every node (by position) over closed edges only.
-
-    Two nodes share a label exactly when closed edges connect them; a
-    label is the position of one node of its component.
-    """
-    return _component_roots(topo.n_nodes, topo.closed_pairs(topo.check_states(states)))
-
-
-def closed_components(topo: Topology, states: np.ndarray) -> list[set[int]]:
-    """Connected components (as node-id sets) over closed edges only."""
-    groups: dict[int, set[int]] = {}
-    for i, root in enumerate(component_roots(topo, states)):
-        groups.setdefault(root, set()).add(i + 1)
-    return list(groups.values())
+def _closes_loop(topo: Topology, states: np.ndarray, comp: Sequence[int]) -> bool:
+    """Whether the closed edges plus one link per source outnumber the forest's edges."""
+    links = int(np.count_nonzero(states)) + len(topo.source_ids)
+    return links > len(comp) - len(set(comp))
 
 
 @dataclass(frozen=True)
@@ -407,49 +393,43 @@ class StateTree:
     descends from it and component 0 is the fed set: the transmission grid
     ties feeder heads together upstream, so a source-to-source path already
     parallels two feeders. Any other component is rooted at its smallest
-    node. ``parent_edge`` is 0 above a source and a root, ``feeder`` is the
-    breaker heading a node's feeder (0 for none), ``comp`` is the root of
-    its component, and ``order`` lists parents before their children.
+    node. ``comp`` is the root of a node's component, ``parent_edge`` is 0
+    above a source and a root, and ``order`` lists parents before their
+    children. ``depth`` and ``feeder``, the breaker heading a node's feeder
+    (0 for none), are derived on first read.
     """
 
+    comp: list[int]
     parent: list[int]
     parent_edge: list[int]
-    depth: list[int]
-    feeder: list[int]
-    comp: list[int]
     order: list[int]
+    topo: Topology = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, topo: Topology, states: np.ndarray) -> "StateTree":
         """Breadth-first labelling of the closed edges from the virtual root."""
-        size = topo.n_nodes + 1
-        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(size)]
-        for j in np.flatnonzero(states).tolist():
-            e = topo.edges[j]
-            breaker = e.kind is EdgeKind.BREAKER
-            adj[e.u].append((e.v, e.id, breaker))
-            adj[e.v].append((e.u, e.id, breaker))
-        adj[0] = [(s + 1, 0, False) for s in np.flatnonzero(topo.source_vector()).tolist()]
-        parent, parent_edge = [-1] * size, [0] * size
-        depth, feeder, comp = [0] * size, [0] * size, [-1] * size
-        order: list[int] = []
-        for root in range(size):
-            if comp[root] >= 0:
-                continue
-            comp[root] = root
-            head = len(order)
-            order.append(root)
-            while head < len(order):
-                x = order[head]
-                head += 1
-                for y, eid, breaker in adj[x]:
-                    if comp[y] >= 0:
-                        continue
-                    comp[y] = root
-                    parent[y], parent_edge[y], depth[y] = x, eid, depth[x] + 1
-                    feeder[y] = eid if breaker else feeder[x]
-                    order.append(y)
-        return cls(parent, parent_edge, depth, feeder, comp, order)
+        return cls(*label(topo.incident, states.tolist(), topo.source_ids), topo)
+
+    @cached_property
+    def depth(self) -> list[int]:
+        parent = self.parent
+        depth = [0] * len(parent)
+        for x in self.order:
+            up = parent[x]
+            if up >= 0:
+                depth[x] = depth[up] + 1
+        return depth
+
+    @cached_property
+    def feeder(self) -> list[int]:
+        parent, parent_edge, breakers = self.parent, self.parent_edge, self.topo.frtu_map
+        feeder = [0] * len(parent)
+        for x in self.order:
+            up = parent[x]
+            if up >= 0:
+                edge = parent_edge[x]
+                feeder[x] = edge if edge in breakers else feeder[up]
+        return feeder
 
     def count_below(self, members: Iterable[int]) -> list[int]:
         """Per node, how many of ``members`` lie in its subtree."""
@@ -494,9 +474,8 @@ def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingSta
     """
     states = topo.check_states(states)
     tree = StateTree.build(topo, states)
-    links = int(np.count_nonzero(states)) + int(np.count_nonzero(topo.source_vector()))
     comp = tree.comp
-    has_loop = links > len(comp) - len(set(comp))
+    has_loop = _closes_loop(topo, states, comp)
     dg_roots = {comp[i + 1] for i in np.flatnonzero(topo.dg_vector()).tolist()} - {0}
     islands: dict[int, set[int]] = {}
     dark: list[int] = []  # only loads: every source sits in the fed component

@@ -255,6 +255,44 @@ def test_env_seed_outranks_flag_and_file(tmp_path, monkeypatch):
     assert via_env.read_bytes() == via_flag.read_bytes()
 
 
+# (source named in the error, scenario seed, --seed flag, GRIDSLEUTH_SEED, message)
+BAD_SEEDS = [
+    ("seed", -1, None, None, "must be a non-negative integer"),
+    ("seed", 2.5, None, None, "must be an integer"),
+    ("--seed", 7, "-1", None, "must be a non-negative integer"),
+    ("GRIDSLEUTH_SEED", 7, None, "-1", "must be a non-negative integer"),
+    ("GRIDSLEUTH_SEED", 7, "3", "2.5", "must be an integer"),
+    ("GRIDSLEUTH_SEED", 7, None, "x", "must be an integer"),
+    ("GRIDSLEUTH_SEED", 7, None, "", "must be an integer"),
+]
+
+
+@pytest.mark.parametrize("source, file_seed, flag, env, message", BAD_SEEDS)
+def test_bad_seeds_exit_1_naming_their_source(
+        tmp_path, monkeypatch, capsys, source, file_seed, flag, env, message):
+    scn = _write_json(tmp_path / "s.json", _scenario(
+        CT8, _ct8_meters({"node": 5, "mode": "scale", "value": 0.0}),
+        seed=file_seed))
+    if env is not None:
+        monkeypatch.setenv("GRIDSLEUTH_SEED", env)
+    seed_args = ["--seed", flag] if flag is not None else []
+    history = tmp_path / "h.csv"
+    commands = [
+        ["sim", "run", scn, "--out", str(history)] + seed_args,
+        ["localize", "run", scn, "--out-dir", str(tmp_path / "loc")] + seed_args,
+    ]
+    if source == "seed":
+        history.write_text("interval,meter_id,node,true_kwh,reported_kwh,frtu\r\n")
+        commands.append(["score", scn, "--history", str(history), "--node", "5",
+                         "--out", str(tmp_path / "scores.csv")])
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert f"error: malformed input: {source} {message}" in capsys.readouterr().err
+    assert not (tmp_path / "loc").exists()
+    assert not (tmp_path / "scores.csv").exists()
+    assert source == "seed" or not history.exists()
+
+
 # ------------------------------------------------------------ localization
 
 def test_localize_writes_report_and_log(tmp_path, capsys):

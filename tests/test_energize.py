@@ -15,7 +15,7 @@ from gridsleuth.errors import DimensionMismatchError, NotABreakerError
 from gridsleuth.networks import ct8
 from gridsleuth.topology import NodeKind, states_from_string
 
-from episode_fuzz import make_episode
+from episode_fuzz import make_episode, make_mesh
 
 
 def bfs_reachable(topo, states, sources):
@@ -193,10 +193,13 @@ def test_incidence_sources_must_match_rows():
             t.incidence(), t.normal_states(), np.ones(t.n_nodes + 1, dtype=np.uint8))
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-def test_topology_path_matches_bfs_oracle(seed, rnd):
-    topo = make_episode(seed).topology
+@given(st.integers(min_value=0, max_value=10_000), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_topology_path_matches_bfs_oracle(seed, mesh, rnd):
+    # Two-feeder chains and 3-4 feeder meshes, under arbitrary switch
+    # vectors: loops, paralleled sources and dark fragments included.
+    topo = make_mesh(seed) if mesh else make_episode(seed).topology
     states = np.array([rnd.randint(0, 1) for _ in topo.edges], dtype=np.uint8)
     for sources in (topo.source_vector(), topo.dg_vector()):
         vf = energized_nodes(topo, states, sources)

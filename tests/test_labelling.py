@@ -24,13 +24,35 @@ from gridsleuth.topology import (
     EdgeKind,
     NodeKind,
     build_topology,
-    closed_components,
     states_from_string,
     states_to_string,
     validate_operating_state,
 )
 
 SCENARIO = str(Path(__file__).parent.parent / "scenarios" / "tamper_node5.json")
+
+
+def closed_components(topo, states):
+    """Components over closed edges, as node-id sets by smallest node; a
+    flood fill that shares no code with the package."""
+    neighbors = {n.id: [] for n in topo.nodes}
+    for j, e in enumerate(topo.edges):
+        if states[j]:
+            neighbors[e.u].append(e.v)
+            neighbors[e.v].append(e.u)
+    comps, seen = [], set()
+    for start in neighbors:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for nb in neighbors[stack.pop()]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def reference_validate(topo, states):

@@ -9,6 +9,7 @@ and ``simulate_intervals`` over several indices must give what one
 """
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -443,6 +444,24 @@ def test_load_scenario_rejects_non_finite_and_out_of_range_numbers(
     assert cli.main(["sim", "run", str(path), "--out", str(tmp_path / "h.csv")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("mode, value", [("scale", -2.0), ("fixed", -0.5), ("scale", -1e-9)])
+def test_negative_tamper_values_exit_1_naming_the_meter(tmp_path, capsys, mode, value):
+    # A meter never reports negative energy, so no tamper may make it.
+    path = _scenario_file(tmp_path, meter={"tamper": {"mode": mode, "value": value}})
+    message = "meter M-02 tamper value must be a finite number in [0, inf]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_scenario(path)
+    history = tmp_path / "h.csv"
+    history.write_text("interval,meter_id,node,true_kwh,reported_kwh,frtu\r\n")
+    for argv in (["sim", "run", str(path), "--out", str(tmp_path / "new.csv")],
+                 ["localize", "run", str(path), "--out-dir", str(tmp_path / "loc")],
+                 ["score", str(path), "--history", str(history), "--node", "2",
+                  "--out", str(tmp_path / "scores.csv")]):
+        assert cli.main(argv) == 1, argv
+        assert message in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("new.csv", "loc", "scores.csv"))
 
 
 def test_load_scenario_accepts_the_range_ends(tmp_path):

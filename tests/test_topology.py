@@ -22,7 +22,6 @@ from gridsleuth.topology import (
     NodeKind,
     adjacency_from_incidence,
     build_topology,
-    closed_components,
     incidence_matrix,
     load_topology,
     states_from_string,
@@ -202,6 +201,45 @@ def test_two_sources_one_component_rejected():
         build_topology(spec)
 
 
+def test_normal_state_dg_fed_component_rejected():
+    # A DG is not a substation source: in the normal state {3, 4} runs on
+    # the DG alone, which validation would accept as an island, but the
+    # network must feed every load from a substation.
+    spec = {
+        "nodes": [
+            {"id": 1, "kind": "source"},
+            {"id": 2, "kind": "load"},
+            {"id": 3, "kind": "load", "dg": True},
+            {"id": 4, "kind": "load"},
+        ],
+        "edges": [
+            {"id": 1, "kind": "breaker", "from": 1, "to": 2},
+            {"id": 2, "kind": "sectionalizer", "from": 3, "to": 4},
+            {"id": 3, "kind": "tie", "from": 2, "to": 3},
+        ],
+    }
+    with pytest.raises(NonRadialNormalStateError):
+        build_topology(spec)
+
+
+def test_sources_joined_by_closed_sectionalizer_rejected():
+    spec = {
+        "nodes": [
+            {"id": 1, "kind": "source"},
+            {"id": 2, "kind": "source"},
+            {"id": 3, "kind": "load"},
+            {"id": 4, "kind": "load"},
+        ],
+        "edges": [
+            {"id": 1, "kind": "breaker", "from": 1, "to": 3},
+            {"id": 2, "kind": "breaker", "from": 2, "to": 4},
+            {"id": 3, "kind": "sectionalizer", "from": 1, "to": 2},
+        ],
+    }
+    with pytest.raises(NonRadialNormalStateError):
+        build_topology(spec)
+
+
 def test_load_topology_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(CT8_SPEC))
@@ -245,12 +283,6 @@ def test_multinode_dg_island_is_valid():
     assert result.dg_islands == (frozenset({5, 6, 7}),)
     assert result.dark_loads == ()
     assert result.ok
-
-
-def test_closed_components_normal():
-    t = ct8()
-    comps = sorted(closed_components(t, t.normal_states()), key=min)
-    assert comps == [{1, 2, 3, 4}, {5, 6, 7, 8}]
 
 
 def test_states_from_string_rejects_junk():
