@@ -331,7 +331,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     Every row is checked: it must carry the interval, meter_id, node and
     reported_kwh columns, with integer interval and node cells and an empty
-    or numeric reported_kwh, or the command exits 1 whichever node the row
+    or finite reported_kwh, or the command exits 1 whichever node the row
     names. Only rows whose node cell is ``--node`` make up the series, so a
     meter whose rows name two nodes is scored on each node from the rows
     that name it. A repeated (meter, interval) keeps its last row.
@@ -360,6 +360,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             for k, meter_id, node, reported in map(cells, filter(None, reader)):
                 node, k = to_int(node), to_int(k)
                 value = None if reported == "" else float(reported)
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"reported_kwh must be finite, got {reported!r}")
                 if node == args.node:
                     per_meter.setdefault(meter_id, {})[k] = value
     except (IndexError, ValueError) as exc:

@@ -5,28 +5,28 @@ shrink the set of customers that could explain the discrepancy. It works
 against an oracle (live telemetry or a simulation) that answers one
 question: does a given FRTU alarm under given switch states?
 
-The bookkeeping revolves around three sets. ``E`` holds exonerated nodes:
-every clear reading exonerates the full coverage of that FRTU. ``T`` holds
-nodes resolved as tampered. Every alarm reading raises an obligation, the
-coverage that must contain at least one tampered node; an obligation is
-discharged once it contains a member of ``T``, and if exonerations ever
-empty an undischarged obligation the telemetry contradicts itself.
+Each answer is a reading: the FRTU, its coverage at the states it was
+read in, and the alarm bit. Readings go on one append-only log. A clear
+reading marks its whole coverage clean. An alarm stays open until its
+coverage holds a node resolved as tampered; its suspects are the covered
+nodes not yet clean, and an open alarm down to one suspect resolves that
+node. An alarm with no suspect left, or a clear reading over a resolved
+node, means the telemetry contradicts itself.
 
-Each switch state is labelled once per question: the planner keeps every
-FRTU's coverage, and the rooted tree its validation built, per distinct
-state it visits. Load transfers are branch
-exchanges (Civanlar et al., 1988; Baran & Wu, 1989): close an open tie
-(u, v), then open a sectionalizer s on the loop it makes. In the rooted
-tree of a radial state, with the sources collapsed into a virtual root,
-that loop is the tree path u -> LCA -> v, and opening s moves exactly the
-subtree below s from its feeder to the feeder of the tie's far end. So
-every candidate move is scored from subtree counts, without building or
-validating the state it would land on.
+Each distinct switch state is labelled once, when it is first validated:
+its visit keeps the rooted tree, every FRTU's coverage and the bits read
+there. Load transfers are branch exchanges (Civanlar et al., 1988; Baran
+& Wu, 1989): close an open tie (u, v), then open a sectionalizer s on the
+loop it makes. In the rooted tree of a radial state, with the sources
+collapsed into a virtual root, that loop is the tree path u -> LCA -> v,
+and opening s moves exactly the subtree below s from its feeder to the
+feeder of the tie's far end. So every candidate move is scored from
+subtree counts, without building or validating the state it would land on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .topology import (
     EdgeKind,
+    OperatingState,
     StateTree,
     Topology,
     states_to_string,
@@ -114,18 +115,6 @@ class LocalizationReport:
             "irreducible": self.irreducible,
             "log": list(self.log),
         }
-
-
-@dataclass
-class _Obligation:
-    """One alarmed reading awaiting an explanation."""
-
-    origin: str
-    nodes: frozenset[int]
-    explained: bool = False
-
-    def active(self, exonerated: set[int]) -> frozenset[int]:
-        return self.nodes - exonerated
 
 
 @dataclass(frozen=True)
@@ -233,13 +222,23 @@ def _alarm_bit(reply: Mapping[str, bool], frtu: str, key: str) -> bool:
 def _split_score(inside: int, tampered: int, n_suspects: int) -> float | None:
     """How far a reading covering ``inside`` of the suspects is from halving them.
 
-    None when the reading cannot narrow the obligation: it covers none of
+    None when the reading cannot narrow the alarm: it covers none of
     the suspects or all of them, or it covers a node already resolved as
     tampered.
     """
     if tampered or not 0 < inside < n_suspects:
         return None
     return abs(inside - n_suspects / 2)
+
+
+@dataclass
+class _Visit:
+    """One switch state: its tree and coverages, and the alarm bits read there."""
+
+    states: np.ndarray
+    tree: StateTree
+    coverage: dict[str, frozenset[int]]
+    reads: dict[str, bool] = field(default_factory=dict)
 
 
 class _Planner:
@@ -263,77 +262,35 @@ class _Planner:
         self.states = topo.check_states(
             topo.normal_states() if initial_states is None else initial_states
         ).copy()
-        self.exonerated: set[int] = set()
+        self.visits: dict[str, _Visit] = {}  # by switch-state string
+        # The evidence: (FRTU, coverage, alarm) per reading, in order, the
+        # union of the clear coverages, and the nodes resolved as tampered.
+        self.readings: list[tuple[str, frozenset[int], bool]] = []
+        self.clean: set[int] = set()
         self.tampered: set[int] = set()
-        self.obligations: list[_Obligation] = []
-        # Alarm bits already read, by switch-state string, then FRTU.
-        self.consulted: dict[str, dict[str, bool]] = {}
-        self.coverages: dict[str, dict[str, frozenset[int]]] = {}
-        # Rooted labelling of each validated state, by switch-state string.
-        self.trees: dict[str, StateTree] = {}
         self.actions: list[SwitchingAction] = []
         self.checks: list[FrtuCheck] = []
         self.history: list[tuple[int, ...]] = []
         self.islands: list[IslandRecord] = []
         self.committed: list[str] = []
         self.log: list[str] = []
-        self.initial_alarms: dict[str, bool] = {}
         self.irreducible = False
 
-    # --- telemetry ---------------------------------------------------
+    # --- switch states -------------------------------------------------
 
-    def consult(self, frtu: str) -> None:
-        """Read one FRTU's alarm bit at the current states and fold it in.
-
-        Only a fresh read counts as a check and moves the bookkeeping; a
-        pair already read at this exact configuration is just replayed.
-        """
+    def enter(self) -> OperatingState:
+        """Validate and commit to the current states; label them once if valid and new."""
         key = states_to_string(self.states)
-        reads = self.consulted.setdefault(key, {})
-        if frtu in reads:
-            return
-        alarm = _alarm_bit(self.oracle(self.states), frtu, key)
-        reads[frtu] = alarm
-        self.record_check(frtu, alarm)
-        self.process_reading(frtu, alarm, self.coverage()[frtu])
+        check = validate_operating_state(self.topo, self.states)
+        self.committed.append(key)
+        if check.ok and key not in self.visits:
+            self.visits[key] = _Visit(
+                self.states.copy(), check.tree, frtu_coverage(self.topo, self.states))
+        return check
 
-    def coverage(self) -> dict[str, frozenset[int]]:
-        """Every FRTU's coverage at the current states, computed once per state."""
-        key = states_to_string(self.states)
-        if key not in self.coverages:
-            self.coverages[key] = frtu_coverage(self.topo, self.states)
-        return self.coverages[key]
-
-    def tree(self) -> StateTree:
-        """The current state's tree, from its validation (run here if never run)."""
-        key = states_to_string(self.states)
-        if key not in self.trees:
-            self.trees[key] = validate_operating_state(self.topo, self.states).tree
-        return self.trees[key]
-
-    def record_check(self, frtu: str, alarm: bool) -> None:
-        self.checks.append(
-            FrtuCheck(after_step=len(self.actions), frtu=frtu, alarm=alarm))
-        self.log.append(
-            f"check {frtu} after step {len(self.actions)}: "
-            f"{'ALARM' if alarm else 'clear'}")
-
-    def process_reading(self, frtu: str, alarm: bool, coverage: frozenset[int]) -> None:
-        if alarm:
-            if coverage & self.tampered:
-                return
-            if not coverage - self.exonerated:
-                raise OracleInconsistentError(
-                    f"{frtu} alarms but every covered node is exonerated")
-            self.obligations.append(_Obligation(origin=frtu, nodes=coverage))
-        else:
-            hit = coverage & self.tampered
-            if hit:
-                raise OracleInconsistentError(
-                    f"{frtu} reads clear while covering tampered nodes {sorted(hit)}")
-            self.exonerated |= coverage
-
-    # --- switching ---------------------------------------------------
+    @property
+    def visit(self) -> _Visit:
+        return self.visits[self.committed[-1]]
 
     def commit_group(self, ops: Sequence[tuple[str, int]]) -> None:
         """Apply one ordered action group and validate the end state.
@@ -346,75 +303,86 @@ class _Planner:
             self.actions.append(
                 SwitchingAction(step=len(self.actions) + 1, edge=eid, action=op))
             self.log.append(f"step {len(self.actions)}: {op} edge {eid}")
-        key = states_to_string(self.states)
-        check = validate_operating_state(self.topo, self.states)
-        self.trees[key] = check.tree
-        self.committed.append(key)
+        check = self.enter()
         if not check.ok:
             raise InfeasiblePlanError(
-                f"committed switch state {key} violates operating rules: "
+                f"committed switch state {self.committed[-1]} violates operating rules: "
                 f"{'; '.join(check.violations)}")
 
-    # --- suspect bookkeeping -----------------------------------------
+    # --- evidence ------------------------------------------------------
 
-    def active_union(self) -> set[int]:
-        out: set[int] = set()
-        for ob in self.obligations:
-            if not ob.explained:
-                out |= ob.active(self.exonerated)
-        return out
+    def consult(self, frtu: str) -> None:
+        """Read one FRTU at the current states; only a fresh read is a check."""
+        visit = self.visit
+        if frtu in visit.reads:
+            return
+        alarm = _alarm_bit(self.oracle(self.states), frtu, self.committed[-1])
+        visit.reads[frtu] = alarm
+        self.checks.append(
+            FrtuCheck(after_step=len(self.actions), frtu=frtu, alarm=alarm))
+        self.log.append(
+            f"check {frtu} after step {len(self.actions)}: "
+            f"{'ALARM' if alarm else 'clear'}")
+        self.record(frtu, visit.coverage[frtu], alarm)
+
+    def record(self, frtu: str, coverage: frozenset[int], alarm: bool) -> None:
+        """Check one reading against the evidence, then append it to ``readings``."""
+        if alarm:
+            if not coverage & self.tampered and coverage <= self.clean:
+                raise OracleInconsistentError(
+                    f"{frtu} alarms but every covered node is exonerated")
+        else:
+            hit = coverage & self.tampered
+            if hit:
+                raise OracleInconsistentError(
+                    f"{frtu} reads clear while covering tampered nodes {sorted(hit)}")
+            self.clean |= coverage
+        self.readings.append((frtu, coverage, alarm))
+
+    def unexplained(self) -> list[tuple[str, frozenset[int]]]:
+        """Open alarms, oldest first: each FRTU with its covered nodes not yet clean."""
+        return [
+            (frtu, coverage - self.clean)
+            for frtu, coverage, alarm in self.readings
+            if alarm and not coverage & self.tampered
+        ]
+
+    def suspects(self) -> set[int]:
+        """Resolved nodes plus every node an open alarm still points at."""
+        return set(self.tampered).union(*(nodes for _, nodes in self.unexplained()))
 
     def snapshot(self) -> None:
-        snap = tuple(sorted(self.active_union() | self.tampered))
+        snap = tuple(sorted(self.suspects()))
         if not self.history or self.history[-1] != snap:
             self.history.append(snap)
 
-    def settle_obligations(self) -> _Obligation | None:
-        """Discharge, fail, or pick the obligation to work on next.
+    def next_alarm(self) -> tuple[str, frozenset[int]] | None:
+        """The newest open alarm, once every alarm left with one suspect is resolved.
 
-        Returns the newest undischarged obligation, or None when every
-        alarm is explained. Raises when exonerations emptied one.
+        None when every alarm is explained; raises when one has no suspect left.
         """
         while True:
-            resolved_one = False
-            pending: _Obligation | None = None
-            for ob in self.obligations:
-                if ob.explained:
-                    continue
-                if ob.nodes & self.tampered:
-                    ob.explained = True
-                    continue
-                active = ob.active(self.exonerated)
-                if not active:
+            open_alarms = self.unexplained()
+            for frtu, nodes in open_alarms:
+                if not nodes:
                     raise OracleInconsistentError(
-                        f"alarm from {ob.origin} has no candidate left: every "
+                        f"alarm from {frtu} has no candidate left: every "
                         f"covered node was exonerated")
-                if len(active) == 1:
-                    node = next(iter(active))
-                    self.resolve(node)
-                    resolved_one = True
+                if len(nodes) == 1:
+                    self.resolve(next(iter(nodes)))
                     break
-                pending = ob
-            if resolved_one:
-                continue
-            return pending
+            else:
+                return open_alarms[-1] if open_alarms else None
 
     def resolve(self, node: int) -> None:
+        """Mark one node tampered, then read every FRTU here for leftover alarms.
+
+        That catches a second tampered feeder; reads taken here are replayed.
+        """
         self.tampered.add(node)
         self.log.append(f"resolved: node {node} is tampered")
-        for ob in self.obligations:
-            if not ob.explained and ob.nodes & self.tampered:
-                ob.explained = True
         self.snapshot()
-        self.scan_all_frtus()
-
-    def scan_all_frtus(self) -> None:
-        """Sweep every FRTU at the current states for leftover alarms.
-
-        Catches a second tampered feeder once the first explanation lands.
-        Reads already taken at this configuration are replayed for free.
-        """
-        for frtu in sorted(self.coverage()):
+        for frtu in sorted(self.visit.coverage):
             self.consult(frtu)
         self.snapshot()
 
@@ -430,8 +398,8 @@ class _Planner:
 
         A useful coverage cuts the suspects properly (neither none nor all)
         and contains no already-resolved node, so either answer narrows the
-        obligation. FRTUs in ``read``, already read at these states, are
-        excluded: their result is folded in and re-reading cannot move
+        alarm. FRTUs in ``read``, already read at these states, are
+        excluded: their result is on the log and re-reading cannot move
         anything.
         """
         out: list[tuple[float, str]] = []
@@ -445,26 +413,20 @@ class _Planner:
         out.sort(key=lambda sf: (sf[0], self.topo.frtu_edges[sf[1]]))
         return out
 
-    def best_check(self, ob: _Obligation) -> str | None:
-        suspects = ob.active(self.exonerated)
-        read = self.consulted.get(states_to_string(self.states), {})
-        ranked = self.informative_checks(suspects, self.coverage(), read)
+    def best_check(self, origin: str, suspects: frozenset[int]) -> str | None:
+        """The FRTU to read next at these states, preferring the alarm's own."""
+        visit = self.visit
+        ranked = self.informative_checks(suspects, visit.coverage, visit.reads)
         if not ranked:
             return None
         best_score = ranked[0][0]
         tied = [frtu for score, frtu in ranked if score == best_score]
-        if ob.origin in tied:
-            return ob.origin
-        return tied[0]
+        return origin if origin in tied else tied[0]
 
     def island_nodes(self) -> set[int]:
-        out: set[int] = set()
-        for island in self.islands:
-            if not island.restored:
-                out |= island.nodes
-        return out
+        return set().union(*(i.nodes for i in self.islands if not i.restored))
 
-    def find_move(self, ob: _Obligation) -> tuple[int, int] | None:
+    def find_move(self, suspects: frozenset[int]) -> tuple[int, int] | None:
         """Pick the (close, open) branch exchange that best enables a split.
 
         Closing an open non-breaker edge (u, v) loops two powered paths
@@ -476,16 +438,16 @@ class _Planner:
         coverages differ from today's only by that subtree, so each pair is
         scored from subtree counts of suspects and resolved nodes. A pair
         counts only if some FRTU not yet read at its landing state would
-        then split the obligation; the lowest (split score, s, edge to
+        then split the suspects; the lowest (split score, s, edge to
         close) wins. Returns (edge_to_close, edge_to_open) or None.
         """
-        suspects = ob.active(self.exonerated)
         frozen = self.island_nodes()
+        visit = self.visit
         counts = {
             frtu: (len(cov & suspects), len(cov & self.tampered))
-            for frtu, cov in self.coverage().items()
+            for frtu, cov in visit.coverage.items()
         }
-        tree = self.tree()
+        tree = visit.tree
         suspects_below = tree.count_below(suspects)
         tampered_below = tree.count_below(self.tampered)
         read_after = self.reads_one_move_away()
@@ -507,9 +469,7 @@ class _Planner:
                 entry = (score, sec, cand.id)
                 if best is None or entry < best:
                     best = entry
-        if best is None:
-            return None
-        return best[2], best[1]
+        return None if best is None else (best[2], best[1])
 
     def _move_score(
         self,
@@ -543,55 +503,52 @@ class _Planner:
         return best
 
     def reads_one_move_away(self) -> dict[tuple[int, int], dict[str, bool]]:
-        """Reads taken at states one branch exchange from the current one.
+        """Reads taken at visits one branch exchange from the current states.
 
         Keyed by (edge closed, edge opened) relative to the current states.
         """
         here = self.states
         out: dict[tuple[int, int], dict[str, bool]] = {}
-        for key, reads in self.consulted.items():
-            there = np.frombuffer(key.encode("ascii"), dtype=np.uint8) - ord("0")
-            diff = np.flatnonzero(there != here)
+        for visit in self.visits.values():
+            diff = np.flatnonzero(visit.states != here)
             closed = diff[here[diff] == 0]
             opened = diff[here[diff] == 1]
             if len(closed) == 1 and len(opened) == 1:
-                out[(int(closed[0]) + 1, int(opened[0]) + 1)] = reads
+                out[(int(closed[0]) + 1, int(opened[0]) + 1)] = visit.reads
         return out
 
-    def find_restoration(self) -> IslandRecord | None:
-        """Pick an island to fold back into the grid when progress stalls.
+    def restore_and_check(self) -> bool:
+        """Fold an island back into the grid when progress stalls, and read it.
 
         An island can block progress two ways: its nodes are suspects no
         FRTU can meter, or its cut lines and claimed ties sit on every
         reconfiguration path. Folding one back is always safe (the landing
         state is validated) and each island folds back at most once, so
-        this cannot loop.
+        this cannot loop. False when every island is already back.
         """
         candidates = [i for i in self.islands if not i.restored]
         if not candidates:
-            return None
-        return min(candidates, key=lambda i: min(i.nodes))
-
-    def restore_and_check(self, island: IslandRecord) -> None:
+            return False
+        island = min(candidates, key=lambda i: min(i.nodes))
         self.log.append(
             f"restore island {sorted(island.nodes)} to discriminate suspects")
         self.commit_group(restore_island_ops(island))
         island.restored = True
-        covering = [
-            frtu for frtu, cov in sorted(self.coverage().items()) if cov & island.nodes
-        ]
+        covering = [frtu for frtu, cov in sorted(self.visit.coverage.items())
+                    if cov & island.nodes]
         if not covering:
             raise InfeasiblePlanError(
                 f"restored island {sorted(island.nodes)} is not covered by any FRTU")
         self.consult(covering[0])
         self.snapshot()
+        return True
 
     # --- main loop ----------------------------------------------------
 
     def report(self, final: Iterable[int]) -> LocalizationReport:
         return LocalizationReport(
             alarm_edge=self.alarm_edge,
-            initial_alarms=dict(self.initial_alarms),
+            initial_alarms=dict(self.visits[self.committed[0]].reads),
             actions=tuple(self.actions),
             checks=tuple(self.checks),
             suspect_history=tuple(self.history),
@@ -604,25 +561,19 @@ class _Planner:
         )
 
     def run(self) -> LocalizationReport:
-        key0 = states_to_string(self.states)
-        baseline = validate_operating_state(self.topo, self.states)
+        baseline = self.enter()
         if not baseline.ok:
             raise InfeasiblePlanError(
                 "starting switch state violates operating rules: "
                 + "; ".join(baseline.violations))
-        self.trees[key0] = baseline.tree
-        self.committed.append(key0)
 
         # Continuous telemetry: every FRTU's alarm bit is already on the
         # operator's board before any switching, so this sweep is free.
-        coverage0 = self.coverage()
+        first = self.visit
         readings0 = self.oracle(self.states)
-        reads0 = self.consulted.setdefault(key0, {})
-        for frtu in sorted(coverage0):
-            alarm = _alarm_bit(readings0, frtu, key0)
-            self.initial_alarms[frtu] = alarm
-            reads0[frtu] = alarm
-        if not self.initial_alarms.get(self.alarm_frtu, False):
+        for frtu in sorted(first.coverage):
+            first.reads[frtu] = _alarm_bit(readings0, frtu, self.committed[0])
+        if not first.reads.get(self.alarm_frtu, False):
             # Telemetry is quiet on the requested feeder: nothing to chase.
             self.log.append(
                 f"{self.alarm_frtu} (edge {self.alarm_edge}) reads clear; "
@@ -631,13 +582,13 @@ class _Planner:
         self.log.append(
             "initial alarms: "
             + ", ".join(f"{f}={'ALARM' if a else 'clear'}"
-                        for f, a in sorted(self.initial_alarms.items())))
+                        for f, a in sorted(first.reads.items())))
 
         # The suspect set starts as the alarmed FRTU's coverage: exactly
         # the customers it meters. DG-island loads are in no coverage.
-        self.history.append(tuple(sorted(coverage0[self.alarm_frtu])))
-        for frtu in sorted(coverage0):
-            self.process_reading(frtu, self.initial_alarms[frtu], coverage0[frtu])
+        self.history.append(tuple(sorted(first.coverage[self.alarm_frtu])))
+        for frtu in sorted(first.coverage):
+            self.record(frtu, first.coverage[frtu], first.reads[frtu])
 
         plan = isolate_dg_islands(self.topo, self.states)
         self.islands = list(plan.islands)
@@ -649,36 +600,33 @@ class _Planner:
 
         guard = 4 * (self.topo.n_nodes + self.topo.n_edges) + 16
         for _ in range(guard):
-            ob = self.settle_obligations()
-            if ob is None:
+            alarm = self.next_alarm()
+            if alarm is None:
                 break
-            frtu = self.best_check(ob)
+            origin, suspects = alarm
+            frtu = self.best_check(origin, suspects)
             if frtu is not None:
                 self.consult(frtu)
                 self.snapshot()
                 continue
-            move = self.find_move(ob)
+            move = self.find_move(suspects)
             if move is not None:
                 to_close, to_open = move
                 self.log.append(
                     f"transfer load: close edge {to_close}, open edge {to_open}")
                 self.commit_group(((CLOSE, to_close), (OPEN, to_open)))
                 continue
-            island = self.find_restoration()
-            if island is not None:
-                self.restore_and_check(island)
+            if self.restore_and_check():
                 continue
             self.irreducible = True
             self.log.append(
                 "no further reading can split the remaining suspects: "
-                + str(sorted(ob.active(self.exonerated))))
+                + str(sorted(suspects)))
             break
         else:
             raise InfeasiblePlanError("localization failed to converge")
 
-        final = set(self.tampered)
-        if self.irreducible:
-            final |= self.active_union()
+        final = self.suspects() if self.irreducible else set(self.tampered)
         self.snapshot()
         self.log.append(f"verdict: tampered node(s) {sorted(final)}")
         return self.report(final)

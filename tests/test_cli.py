@@ -443,6 +443,28 @@ def test_score_checks_rows_of_other_nodes(tmp_path, capsys, row):
     assert f"malformed history CSV {tmp_path / 'history.csv'}: " in printed
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+def test_score_rejects_a_non_finite_reported_kwh(tmp_path, capsys, cell):
+    # A meter reporting nan would otherwise score 0, like an honest one.
+    scn = str(SCENARIO_DIR / "tamper_node5.json")
+    sim = tmp_path / "sim.csv"
+    assert main(["sim", "run", scn, "--intervals", "4", "--out", str(sim)]) == 0
+    capsys.readouterr()
+    with open(sim, newline="") as fh:
+        rows = list(csv.reader(fh))
+    meter, reported = rows[0].index("meter_id"), rows[0].index("reported_kwh")
+    for row in rows[1:]:
+        if row[meter] == "M-05":
+            row[reported] = cell
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    for node in (5, 2):
+        code, printed, _ = _score_text(tmp_path, capsys, text.getvalue(), node)
+        assert code == 1
+        assert f"malformed history CSV {tmp_path / 'history.csv'}: " in printed
+        assert f"reported_kwh must be finite, got '{cell}'" in printed
+
+
 def test_score_reads_a_meter_on_each_node_from_the_rows_naming_it(tmp_path, capsys):
     history = (
         "interval,meter_id,node,reported_kwh\n"

@@ -16,7 +16,7 @@ from episode_fuzz import make_mesh
 from gridsleuth import energize, planner
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
-from gridsleuth.planner import _Obligation, _Planner, isolate_dg_islands, localize
+from gridsleuth.planner import _Planner, _Visit, isolate_dg_islands, localize
 from gridsleuth.topology import (
     EdgeKind,
     NodeKind,
@@ -61,10 +61,9 @@ def loop_sectionalizers(topo, states, cand):
     return sorted(out)
 
 
-def reference_find_move(plan, ob):
+def reference_find_move(plan, suspects):
     """Trial-and-error search; also returns every landing state it tried."""
     topo = plan.topo
-    suspects = ob.active(plan.exonerated)
     frozen = plan.island_nodes()
     best, tried = None, []
     for cand in topo.edges:
@@ -79,7 +78,8 @@ def reference_find_move(plan, ob):
             tried.append(trial)
             if not validate_operating_state(topo, trial).ok:
                 continue
-            read = plan.consulted.get(states_to_string(trial), {})
+            visit = plan.visits.get(states_to_string(trial))
+            read = visit.reads if visit else {}
             ranked = plan.informative_checks(suspects, frtu_coverage(topo, trial), read)
             if not ranked:
                 continue
@@ -94,9 +94,9 @@ def random_planner(topo, rng):
 
     The state comes from the DG isolation on most draws (some islands then
     marked restored while still cut off) followed by a few random branch
-    exchanges, so it is always radial and valid. Suspects, resolved nodes
-    and the reads taken at this state and at some of its neighbours are
-    drawn at random.
+    exchanges, so it is always radial and valid; the planner then enters
+    it. Suspects, clean and resolved nodes, and the reads taken at this
+    state and at visits to some of its neighbours are drawn at random.
     """
     plan = _Planner(topo, sorted(topo.frtu_map)[0], lambda states: {}, None)
     if rng.random() < 0.7:
@@ -118,15 +118,14 @@ def random_planner(topo, rng):
             continue
         plan.states[cand.id - 1] = 1
         plan.states[secs[int(rng.integers(len(secs)))] - 1] = 0
-    assert validate_operating_state(topo, plan.states).ok
+    assert plan.enter().ok
 
     loads = sorted(topo.load_ids)
     frtus = sorted(topo.frtu_edges)
     nodes = {int(n) for n in rng.choice(loads, size=int(rng.integers(2, 9)), replace=False)}
     plan.tampered = {n for n in loads if n not in nodes and rng.random() < 0.05}
-    plan.exonerated = {n for n in loads if rng.random() < 0.1}
-    key = states_to_string(plan.states)
-    plan.consulted[key] = {f: bool(rng.random() < 0.5) for f in frtus if rng.random() < 0.3}
+    plan.clean = {n for n in loads if rng.random() < 0.1}
+    plan.visit.reads = {f: bool(rng.random() < 0.5) for f in frtus if rng.random() < 0.3}
     neighbours = []
     for cand in topo.edges:
         if plan.states[cand.id - 1] or cand.kind is EdgeKind.BREAKER:
@@ -137,9 +136,10 @@ def random_planner(topo, rng):
         cand, sec = neighbours[int(pick)]
         there = plan.states.copy()
         there[cand - 1], there[sec - 1] = 1, 0
-        plan.consulted[states_to_string(there)] = {
-            f: False for f in frtus if rng.random() < 0.6}
-    return plan, _Obligation(origin=frtus[0], nodes=frozenset(nodes))
+        plan.visits[states_to_string(there)] = _Visit(
+            there, validate_operating_state(topo, there).tree, frtu_coverage(topo, there),
+            {f: False for f in frtus if rng.random() < 0.6})
+    return plan, frozenset(nodes) - plan.clean
 
 
 @pytest.mark.parametrize("seed", range(150))
@@ -147,9 +147,9 @@ def test_find_move_matches_reference_on_meshes(seed):
     rng = np.random.default_rng([53, seed])
     topo = make_mesh(seed)
     for _ in range(4):
-        plan, ob = random_planner(topo, rng)
-        expected, tried = reference_find_move(plan, ob)
-        assert plan.find_move(ob) == expected
+        plan, suspects = random_planner(topo, rng)
+        expected, tried = reference_find_move(plan, suspects)
+        assert plan.find_move(suspects) == expected
         for trial in tried:
             assert validate_operating_state(topo, trial).ok
 
@@ -264,10 +264,10 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
         calls["trees_in_move"] += in_move[0]
         return real_build(*args, **kwargs)
 
-    def find_move(self, ob):
+    def find_move(self, suspects):
         in_move[0] = True
         try:
-            return real_find_move(self, ob)
+            return real_find_move(self, suspects)
         finally:
             in_move[0] = False
 

@@ -1,13 +1,15 @@
 """Localization planner: golden walks, isolation, and fuzzed episodes."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from episode_fuzz import make_episode
+from episode_fuzz import make_episode, make_mesh
 from gridsleuth.errors import (
     InfeasibleIsolationError,
+    InfeasiblePlanError,
     NotABreakerError,
     OracleInconsistentError,
 )
@@ -21,6 +23,7 @@ from gridsleuth.planner import (
     restore_island_ops,
 )
 from gridsleuth.topology import (
+    EdgeKind,
     build_topology,
     states_from_string,
     states_to_string,
@@ -291,3 +294,49 @@ def test_oracle_reply_missing_frtu_after_first_state():
 
     with pytest.raises(OracleInconsistentError, match="FRTU_1"):
         localize(t, 7, flaky)
+
+
+CONTRADICTIONS = {
+    "alarms but every covered node is exonerated": "exonerated alarm",
+    "has no candidate left": "emptied alarm",
+    "reads clear while covering tampered nodes": "clear over tampered",
+}
+
+
+def test_lying_oracle_ends_in_a_report_or_a_named_contradiction():
+    # A seeded coin alarms one read in three, on top of the requested
+    # feeder's alarm on the operator's board. Every run must either end
+    # in a report or name the contradiction it hit, and each of the three
+    # contradictions must turn up somewhere in the set.
+    seen = {"report": 0} | {kind: 0 for kind in CONTRADICTIONS.values()}
+    for seed in range(120):
+        topo = make_mesh(seed)
+        breakers = sorted(e.id for e in topo.edges if e.kind is EdgeKind.BREAKER)
+        alarm_edge = breakers[seed % len(breakers)]
+        alarm_frtu = topo.frtu_map[alarm_edge]
+        normal = states_to_string(topo.normal_states())
+
+        def oracle(states, seed=seed, topo=topo, alarm_frtu=alarm_frtu, normal=normal):
+            key = states_to_string(states)
+            return {f: (key == normal and f == alarm_frtu)
+                    or zlib.crc32(f"{seed}|{key}|{f}".encode()) % 3 == 0
+                    for f in topo.frtu_edges}
+
+        try:
+            localize(topo, alarm_edge, oracle)
+        except OracleInconsistentError as exc:
+            kinds = [k for text, k in CONTRADICTIONS.items() if text in str(exc)]
+            assert len(kinds) == 1, f"seed {seed}: {exc}"
+            seen[kinds[0]] += 1
+        else:
+            seen["report"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("bits", ["1111111", "0000000"])
+def test_invalid_starting_state_is_refused(bits):
+    # All closed loops both feeders together; all open leaves every load dark.
+    t, oracle = ct8_oracle({5})
+    with pytest.raises(InfeasiblePlanError) as info:
+        localize(t, 7, oracle, initial_states=states_from_string(bits, t))
+    assert str(info.value).startswith("starting switch state violates operating rules")
