@@ -347,12 +347,12 @@ class _Planner:
             if alarm and not coverage & self.tampered
         ]
 
-    def suspects(self) -> set[int]:
+    def all_suspects(self) -> set[int]:
         """Resolved nodes plus every node an open alarm still points at."""
         return set(self.tampered).union(*(nodes for _, nodes in self.unexplained()))
 
     def snapshot(self) -> None:
-        snap = tuple(sorted(self.suspects()))
+        snap = tuple(sorted(self.all_suspects()))
         if not self.history or self.history[-1] != snap:
             self.history.append(snap)
 
@@ -626,7 +626,7 @@ class _Planner:
         else:
             raise InfeasiblePlanError("localization failed to converge")
 
-        final = self.suspects() if self.irreducible else set(self.tampered)
+        final = self.all_suspects() if self.irreducible else set(self.tampered)
         self.snapshot()
         self.log.append(f"verdict: tampered node(s) {sorted(final)}")
         return self.report(final)
