@@ -231,11 +231,15 @@ def _split_score(inside: int, tampered: int, n_suspects: int) -> float | None:
     return abs(inside - n_suspects / 2)
 
 
+def _state_key(states: np.ndarray) -> int:
+    """A 0/1 switch vector packed into an int: bit j is edge j + 1."""
+    return int.from_bytes(np.packbits(states, bitorder="little").tobytes(), "little")
+
+
 @dataclass
 class _Visit:
     """One switch state: its tree and coverages, and the alarm bits read there."""
 
-    states: np.ndarray
     tree: StateTree
     coverage: dict[str, frozenset[int]]
     reads: dict[str, bool] = field(default_factory=dict)
@@ -262,7 +266,8 @@ class _Planner:
         self.states = topo.check_states(
             topo.normal_states() if initial_states is None else initial_states
         ).copy()
-        self.visits: dict[str, _Visit] = {}  # by switch-state string
+        self.visits: dict[int, _Visit] = {}  # by packed switch vector
+        self.here = 0  # the current states' key
         # The evidence: (FRTU, coverage, alarm) per reading, in order, the
         # union of the clear coverages, and the nodes resolved as tampered.
         self.readings: list[tuple[str, frozenset[int], bool]] = []
@@ -280,17 +285,17 @@ class _Planner:
 
     def enter(self) -> OperatingState:
         """Validate and commit to the current states; label them once if valid and new."""
-        key = states_to_string(self.states)
         check = validate_operating_state(self.topo, self.states)
-        self.committed.append(key)
-        if check.ok and key not in self.visits:
-            self.visits[key] = _Visit(
-                self.states.copy(), check.tree, frtu_coverage(self.topo, self.states))
+        self.committed.append(states_to_string(self.states))
+        self.here = _state_key(self.states)
+        if check.ok and self.here not in self.visits:
+            self.visits[self.here] = _Visit(
+                check.tree, frtu_coverage(self.topo, self.states))
         return check
 
     @property
     def visit(self) -> _Visit:
-        return self.visits[self.committed[-1]]
+        return self.visits[self.here]
 
     def commit_group(self, ops: Sequence[tuple[str, int]]) -> None:
         """Apply one ordered action group and validate the end state.
@@ -435,40 +440,61 @@ class _Planner:
         u -> LCA -> v, and opening s moves exactly the subtree below s onto
         the feeder of the other endpoint. Every such pair lands on a radial
         state that feeds every load, so it needs no validation. Its FRTU
-        coverages differ from today's only by that subtree, so each pair is
-        scored from subtree counts of suspects and resolved nodes. A pair
-        counts only if some FRTU not yet read at its landing state would
-        then split the suspects; the lowest (split score, s, edge to
-        close) wins. Returns (edge_to_close, edge_to_open) or None.
+        coverages differ from today's only by that subtree, so a pair's
+        outcome is its key: (source feeder, destination feeder, suspects
+        moved, resolved nodes moved). A pair counts only if some FRTU not
+        yet read at its landing state would then split the suspects; the
+        lowest (split score, s, edge to close) wins.
+
+        The landing state's key is the current key with the two switch
+        bits flipped, so one lookup finds a visit there. A pair whose
+        landing state was visited is scored against the reads taken there.
+        The others score alike whenever their outcomes match, so the walk
+        keeps the lowest (s, edge to close) per outcome and scores each
+        outcome once. Returns (edge_to_close, edge_to_open) or None.
         """
         frozen = self.island_nodes()
         visit = self.visit
+        tampered = self.tampered
         counts = {
-            frtu: (len(cov & suspects), len(cov & self.tampered))
+            frtu: (len(cov & suspects), len(cov & tampered))
             for frtu, cov in visit.coverage.items()
         }
+        n_suspects = len(suspects)
         tree = visit.tree
+        feeder = tree.feeder
         suspects_below = tree.count_below(suspects)
-        tampered_below = tree.count_below(self.tampered)
-        read_after = self.reads_one_move_away()
-        best: tuple[float, int, int] | None = None
+        # Nodes are seldom resolved while a move is sought: skip a zero pass.
+        tampered_below = tree.count_below(tampered) if tampered else [0] * len(feeder)
+        sectionalizer = self.topo.sectionalizers
+        states, visits, here = self.states.tolist(), self.visits, self.here
+        unread: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+        to_score: list[tuple[tuple[int, int, int, int], Mapping[str, bool], int, int]] = []
         for cand in self.topo.edges:
-            if self.states[cand.id - 1] or cand.kind is EdgeKind.BREAKER:
+            tie = cand.id
+            if states[tie - 1] or cand.kind is EdgeKind.BREAKER:
                 continue
             if cand.u in frozen or cand.v in frozen:
                 continue
+            closed = here ^ 1 << (tie - 1)
             for sec, below, far in tree.loop(cand.u, cand.v):
-                if not sec or self.topo.edges[sec - 1].kind is not EdgeKind.SECTIONALIZER:
+                if not sectionalizer[sec]:
                     continue
-                score = self._move_score(
-                    counts, len(suspects), tree.feeder[below], tree.feeder[far],
-                    suspects_below[below], tampered_below[below],
-                    read_after.get((cand.id, sec), {}))
-                if score is None:
+                outcome = (feeder[below], feeder[far],
+                           suspects_below[below], tampered_below[below])
+                landing = visits.get(closed ^ 1 << (sec - 1))
+                if landing is not None:
+                    to_score.append((outcome, landing.reads, sec, tie))
                     continue
-                entry = (score, sec, cand.id)
-                if best is None or entry < best:
-                    best = entry
+                first = unread.get(outcome)
+                if first is None or (sec, tie) < first:
+                    unread[outcome] = (sec, tie)
+        to_score += [(outcome, {}, sec, tie) for outcome, (sec, tie) in unread.items()]
+        best: tuple[float, int, int] | None = None
+        for outcome, read, sec, tie in to_score:
+            score = self._move_score(counts, n_suspects, *outcome, read)
+            if score is not None and (best is None or (score, sec, tie) < best):
+                best = (score, sec, tie)
         return None if best is None else (best[2], best[1])
 
     def _move_score(
@@ -502,21 +528,6 @@ class _Planner:
                 best = score
         return best
 
-    def reads_one_move_away(self) -> dict[tuple[int, int], dict[str, bool]]:
-        """Reads taken at visits one branch exchange from the current states.
-
-        Keyed by (edge closed, edge opened) relative to the current states.
-        """
-        here = self.states
-        out: dict[tuple[int, int], dict[str, bool]] = {}
-        for visit in self.visits.values():
-            diff = np.flatnonzero(visit.states != here)
-            closed = diff[here[diff] == 0]
-            opened = diff[here[diff] == 1]
-            if len(closed) == 1 and len(opened) == 1:
-                out[(int(closed[0]) + 1, int(opened[0]) + 1)] = visit.reads
-        return out
-
     def restore_and_check(self) -> bool:
         """Fold an island back into the grid when progress stalls, and read it.
 
@@ -548,7 +559,8 @@ class _Planner:
     def report(self, final: Iterable[int]) -> LocalizationReport:
         return LocalizationReport(
             alarm_edge=self.alarm_edge,
-            initial_alarms=dict(self.visits[self.committed[0]].reads),
+            # The starting state is valid, so it was the first visit.
+            initial_alarms=dict(next(iter(self.visits.values())).reads),
             actions=tuple(self.actions),
             checks=tuple(self.checks),
             suspect_history=tuple(self.history),

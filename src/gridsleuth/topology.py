@@ -120,6 +120,11 @@ class Topology:
         return {frtu: eid for eid, frtu in self.frtu_map.items()}
 
     @cached_property
+    def sectionalizers(self) -> list[bool]:
+        """Per edge id, whether it is a sectionalizer; entry 0 is for no edge."""
+        return [False] + [e.kind is EdgeKind.SECTIONALIZER for e in self.edges]
+
+    @cached_property
     def load_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes if n.kind is NodeKind.LOAD)
 
@@ -158,12 +163,15 @@ class Topology:
         return arr
 
     def check_states(self, states: np.ndarray) -> np.ndarray:
-        """Validate and normalize a switch vector to uint8 of length |E|."""
+        """Validate and normalize a switch vector to 0/1 uint8 of length |E|.
+
+        Any nonzero entry reads as closed, as in ``states_to_string``.
+        """
         arr = np.asarray(states)
         if arr.shape != (self.n_edges,):
             raise DimensionMismatchError(
                 f"switch vector has shape {arr.shape}, expected ({self.n_edges},)")
-        return arr.astype(np.uint8)
+        return (arr != 0).view(np.uint8)
 
 
 def build_topology(spec: Mapping) -> Topology:
@@ -433,12 +441,14 @@ class StateTree:
 
     def count_below(self, members: Iterable[int]) -> list[int]:
         """Per node, how many of ``members`` lie in its subtree."""
-        below = [0] * len(self.parent)
+        parent = self.parent
+        below = [0] * len(parent)
         for x in members:
             below[x] = 1
         for x in reversed(self.order):
-            if self.parent[x] >= 0:
-                below[self.parent[x]] += below[x]
+            up = parent[x]
+            if up >= 0:
+                below[up] += below[x]
         return below
 
     def loop(self, u: int, v: int) -> Iterator[tuple[int, int, int]]:
@@ -450,14 +460,15 @@ class StateTree:
         """
         if self.comp[u] != self.comp[v]:
             return
+        depth, parent, parent_edge = self.depth, self.parent, self.parent_edge
         a, b = u, v
         while a != b:
-            if self.depth[a] >= self.depth[b]:
-                yield self.parent_edge[a], a, v
-                a = self.parent[a]
+            if depth[a] >= depth[b]:
+                yield parent_edge[a], a, v
+                a = parent[a]
             else:
-                yield self.parent_edge[b], b, u
-                b = self.parent[b]
+                yield parent_edge[b], b, u
+                b = parent[b]
 
 
 def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingState:

@@ -13,7 +13,12 @@ from gridsleuth.energize import (
 )
 from gridsleuth.errors import DimensionMismatchError, NotABreakerError
 from gridsleuth.networks import ct8
-from gridsleuth.topology import NodeKind, states_from_string
+from gridsleuth.topology import (
+    NodeKind,
+    states_from_string,
+    states_to_string,
+    validate_operating_state,
+)
 
 from episode_fuzz import make_episode, make_mesh
 
@@ -69,6 +74,27 @@ def test_custom_source_vector():
     dg_only = t.dg_vector()
     vf = energized_nodes(t, states_from_string("1111001", t), sources=dg_only)
     assert vf.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("closed", [256, 0.5, -1, True])
+@pytest.mark.parametrize("bits", ["1110111", "1111001", "1101111", "1111111"])
+def test_every_reader_takes_a_nonzero_entry_as_closed(closed, bits):
+    # 256 wraps to 0 and 0.5 truncates to 0 in a uint8 cast; each must
+    # still read as closed, as states_to_string and the incidence reads do.
+    t = ct8()
+    plain = states_from_string(bits, t)
+    raw = np.where(plain == 1, np.array(closed), np.zeros((), np.array(closed).dtype))
+    assert raw.dtype != np.uint8
+    assert states_to_string(raw) == bits
+    assert t.check_states(raw).tolist() == plain.tolist()
+    expect = validate_operating_state(t, plain)
+    check = validate_operating_state(t, raw)
+    assert (check.has_loop, check.dark_loads, check.dg_islands, check.violations) == (
+        expect.has_loop, expect.dark_loads, expect.dg_islands, expect.violations)
+    fed = energized_nodes(t, plain).tolist()
+    assert energized_nodes(t, raw).tolist() == fed
+    assert energized_from_incidence(t.incidence(), raw, t.source_vector()).tolist() == fed
+    assert frtu_coverage(t, raw) == frtu_coverage(t, plain)
 
 
 def test_frtu_coverage_normal_and_reconfigured():

@@ -16,7 +16,7 @@ from episode_fuzz import make_mesh
 from gridsleuth import energize, planner
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
-from gridsleuth.planner import _Planner, _Visit, isolate_dg_islands, localize
+from gridsleuth.planner import _Planner, _state_key, _Visit, isolate_dg_islands, localize
 from gridsleuth.topology import (
     EdgeKind,
     NodeKind,
@@ -78,7 +78,7 @@ def reference_find_move(plan, suspects):
             tried.append(trial)
             if not validate_operating_state(topo, trial).ok:
                 continue
-            visit = plan.visits.get(states_to_string(trial))
+            visit = plan.visits.get(_state_key(trial))
             read = visit.reads if visit else {}
             ranked = plan.informative_checks(suspects, frtu_coverage(topo, trial), read)
             if not ranked:
@@ -89,14 +89,16 @@ def reference_find_move(plan, suspects):
     return (None if best is None else (best[2], best[1])), tried
 
 
-def random_planner(topo, rng):
+def random_planner(topo, rng, suspects=(2, 9), landings=(0, 4)):
     """A planner at a random valid state with random bookkeeping.
 
     The state comes from the DG isolation on most draws (some islands then
     marked restored while still cut off) followed by a few random branch
     exchanges, so it is always radial and valid; the planner then enters
     it. Suspects, clean and resolved nodes, and the reads taken at this
-    state and at visits to some of its neighbours are drawn at random.
+    state and at visits to some of its neighbours are drawn at random:
+    the suspect count and the number of visited neighbours from the
+    half-open ranges ``suspects`` and ``landings``.
     """
     plan = _Planner(topo, sorted(topo.frtu_map)[0], lambda states: {}, None)
     if rng.random() < 0.7:
@@ -122,7 +124,7 @@ def random_planner(topo, rng):
 
     loads = sorted(topo.load_ids)
     frtus = sorted(topo.frtu_edges)
-    nodes = {int(n) for n in rng.choice(loads, size=int(rng.integers(2, 9)), replace=False)}
+    nodes = {int(n) for n in rng.choice(loads, size=int(rng.integers(*suspects)), replace=False)}
     plan.tampered = {n for n in loads if n not in nodes and rng.random() < 0.05}
     plan.clean = {n for n in loads if rng.random() < 0.1}
     plan.visit.reads = {f: bool(rng.random() < 0.5) for f in frtus if rng.random() < 0.3}
@@ -132,12 +134,12 @@ def random_planner(topo, rng):
             continue
         for sec in loop_sectionalizers(topo, plan.states, cand):
             neighbours.append((cand.id, sec))
-    for pick in rng.permutation(len(neighbours))[:int(rng.integers(0, 4))]:
+    for pick in rng.permutation(len(neighbours))[:int(rng.integers(*landings))]:
         cand, sec = neighbours[int(pick)]
         there = plan.states.copy()
         there[cand - 1], there[sec - 1] = 1, 0
-        plan.visits[states_to_string(there)] = _Visit(
-            there, validate_operating_state(topo, there).tree, frtu_coverage(topo, there),
+        plan.visits[_state_key(there)] = _Visit(
+            validate_operating_state(topo, there).tree, frtu_coverage(topo, there),
             {f: False for f in frtus if rng.random() < 0.6})
     return plan, frozenset(nodes) - plan.clean
 
@@ -152,6 +154,21 @@ def test_find_move_matches_reference_on_meshes(seed):
         assert plan.find_move(suspects) == expected
         for trial in tried:
             assert validate_operating_state(topo, trial).ok
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_find_move_matches_reference_on_chains(seed):
+    # Long loops put many sectionalizers on one tie's path, so many pairs
+    # share an outcome; dense suspects and many visited landing states
+    # test the tie-break among them and the per-pair scoring of visits.
+    rng = np.random.default_rng([67, seed])
+    topo = two_feeder_chain(20 + seed)
+    n_loads = len(topo.load_ids)
+    for _ in range(3):
+        plan, suspects = random_planner(
+            topo, rng, suspects=(n_loads // 4, n_loads), landings=(0, 16))
+        expected, _ = reference_find_move(plan, suspects)
+        assert plan.find_move(suspects) == expected
 
 
 def coverage_by_definition(topo, states):
@@ -245,7 +262,7 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     ]
     oracle = SimulationOracle(topo, meters, seed=11, threshold=0.1 / len(meters))
 
-    calls = {"validate": 0, "coverage": 0, "trees": 0,
+    calls = {"validate": 0, "coverage": 0, "trees": 0, "move_score": 0,
              "energized_in_move": 0, "trees_in_move": 0}
     in_move = [False]
 
@@ -281,6 +298,8 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     monkeypatch.setattr(energize, "energized_nodes", energized)
     monkeypatch.setattr(StateTree, "build", classmethod(build_tree))
     monkeypatch.setattr(_Planner, "find_move", find_move)
+    monkeypatch.setattr(_Planner, "_move_score",
+                        counting("move_score", _Planner._move_score))
 
     report = localize(topo, 1, oracle)
     assert list(report.final_suspects) == [tampered]
@@ -294,3 +313,6 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     # search reads the tree its state's validation built.
     assert calls["trees"] == calls["validate"] + 1
     assert calls["trees_in_move"] == 0
+    # A pair whose landing state was never read is scored once per
+    # distinct outcome, not once per pair (that made 8,956 scorings here).
+    assert calls["move_score"] <= 1031
