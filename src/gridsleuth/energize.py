@@ -4,8 +4,11 @@ The central operation: given the switch states, which nodes receive power
 from the substation sources? That is reachability over closed switches,
 answered by one breadth-first labelling (``topology.label``) from a virtual
 root linked to the sources. Suspect sets and outage accounting are phrased
-in terms of this vector; FRTU coverage labels the closed non-breaker edges
-once and reads every feeder off that.
+in terms of this vector. A switch state's labelling from the substation
+sources is its ``StateTree``, and ``Topology.tree`` remembers the last one:
+energization from those sources (with or without extra feeds such as DGs)
+and FRTU coverage read it, so validating a state and then simulating it
+labels that state once.
 """
 
 from __future__ import annotations
@@ -37,11 +40,18 @@ def energized_nodes(
     """Per-node energized flags (uint8, index = node id - 1).
 
     ``sources`` defaults to the substation sources; pass a custom vector to
-    model DG-backed islands or hypothetical injections.
+    model DG-backed islands or hypothetical injections. A vector that marks
+    every substation source reads the state's ``StateTree``: a node is fed
+    when its component is the sources' or holds a marked node. Any other
+    vector labels the state from its own marks.
     """
     states = topo.check_states(states)
     feeds = topo.source_ids if sources is None else _source_ids(sources, topo.n_nodes)
-    return _fed(label(topo.incident, states.tolist(), feeds)[0])
+    if not set(topo.source_ids).issubset(feeds):
+        return _fed(label(topo.incident, states.tolist(), feeds)[0])
+    comp = topo.tree(states).comp
+    roots = {comp[s] for s in feeds}
+    return np.array([root in roots for root in comp[1:]], dtype=np.uint8)
 
 
 def _source_ids(sources: np.ndarray, n_nodes: int) -> list[int]:
@@ -81,31 +91,8 @@ def frtu_coverage(topo: Topology, states: np.ndarray) -> dict[str, frozenset[int
 
     A node is covered by an FRTU when opening that breaker (and nothing
     else) de-energizes it: the node's power flows through that feeder head.
-    One labelling of the closed non-breaker edges answers this for every
-    breaker at once, for any switch vector, loops included. The only closed
-    edges leaving such a section are breakers, and each leads straight to a
-    source. So a load depends on breaker b alone exactly when its section
-    holds no source and b is the section's only closed breaker.
+    The state's ``StateTree`` answers this for every breaker at once, for
+    any switch vector, loops included (``StateTree.coverage``). Each call
+    returns its own dict.
     """
-    states = topo.check_states(states)
-    breakers = sorted(topo.frtu_map)
-    sections = states.copy()
-    sections[[eid - 1 for eid in breakers]] = 0
-    comp = label(topo.incident, sections.tolist(), topo.source_ids)[0]
-    feeding: dict[int, set[int]] = {}
-    for eid in breakers:
-        if states[eid - 1]:
-            edge = topo.edge(eid)
-            for end in (edge.u, edge.v):
-                feeding.setdefault(comp[end], set()).add(eid)
-    # Component 0 is what the sources reach without crossing a breaker.
-    only = {
-        root: next(iter(eids))
-        for root, eids in feeding.items() if len(eids) == 1 and root
-    }
-    covered: dict[int, list[int]] = {eid: [] for eid in breakers}
-    for node in topo.load_ids:
-        eid = only.get(comp[node])
-        if eid is not None:
-            covered[eid].append(node)
-    return {topo.frtu_map[eid]: frozenset(covered[eid]) for eid in breakers}
+    return dict(topo.tree(topo.check_states(states)).coverage)

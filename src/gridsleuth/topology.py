@@ -85,6 +85,8 @@ class Topology:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
     _frozen_arrays: dict = field(default_factory=dict, repr=False, compare=False)
+    _last_tree: tuple[bytes, StateTree] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -161,6 +163,22 @@ class Topology:
             arr.flags.writeable = False
             self._frozen_arrays[key] = arr
         return arr
+
+    def tree(self, states: np.ndarray) -> StateTree:
+        """The ``StateTree`` of a vector that ``check_states`` normalised.
+
+        The last state labelled is remembered, keyed by the vector's bytes
+        rather than by the array, which a caller may mutate in place; key
+        and tree are stored as one pair, so neither is read without the
+        other.
+        """
+        key = states.tobytes()
+        last = self._last_tree
+        if last is not None and last[0] == key:
+            return last[1]
+        tree = StateTree.build(self, states)
+        object.__setattr__(self, "_last_tree", (key, tree))
+        return tree
 
     def check_states(self, states: np.ndarray) -> np.ndarray:
         """Validate and normalize a switch vector to 0/1 uint8 of length |E|.
@@ -403,8 +421,9 @@ class StateTree:
     parallels two feeders. Any other component is rooted at its smallest
     node. ``comp`` is the root of a node's component, ``parent_edge`` is 0
     above a source and a root, and ``order`` lists parents before their
-    children. ``depth`` and ``feeder``, the breaker heading a node's feeder
-    (0 for none), are derived on first read.
+    children. ``closed`` is the switch vector, 1 per closed edge.
+    ``depth``, ``feeder``, the breaker heading a node's feeder (0 for none),
+    and ``coverage`` are derived on first read.
     """
 
     comp: list[int]
@@ -412,11 +431,13 @@ class StateTree:
     parent_edge: list[int]
     order: list[int]
     topo: Topology = field(compare=False, repr=False)
+    closed: list[int] = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, topo: Topology, states: np.ndarray) -> "StateTree":
         """Breadth-first labelling of the closed edges from the virtual root."""
-        return cls(*label(topo.incident, states.tolist(), topo.source_ids), topo)
+        closed = states.tolist()
+        return cls(*label(topo.incident, closed, topo.source_ids), topo, closed)
 
     @cached_property
     def depth(self) -> list[int]:
@@ -438,6 +459,35 @@ class StateTree:
                 edge = parent_edge[x]
                 feeder[x] = edge if edge in breakers else feeder[up]
         return feeder
+
+    @cached_property
+    def coverage(self) -> dict[str, frozenset[int]]:
+        """Load nodes metered by each FRTU, in breaker id order.
+
+        A load is covered by an FRTU when opening that breaker (and nothing
+        else) de-energizes it. The loads below breaker b in the tree are
+        b's, unless a closed edge off the tree reaches b's section: a
+        sectionalizer or tie to another feeder's node joins the two
+        sections, and a breaker gives b's section a second feeder head.
+        Either way no single breaker carries them. Feeder 0, what a source
+        reaches without crossing a breaker or what no source reaches, is
+        covered by none.
+        """
+        topo, feeder, breakers = self.topo, self.feeder, self.topo.frtu_map
+        in_tree = set(self.parent_edge)
+        shared = {0}
+        for j, shut in enumerate(self.closed, start=1):
+            if shut and j not in in_tree:
+                edge = topo.edges[j - 1]
+                a, b = feeder[edge.u], feeder[edge.v]
+                if a != b or j in breakers:
+                    shared.update((a, b))
+        covered: dict[int, list[int]] = {eid: [] for eid in sorted(breakers)}
+        for node in topo.load_ids:
+            eid = feeder[node]
+            if eid not in shared:
+                covered[eid].append(node)
+        return {breakers[eid]: frozenset(nodes) for eid, nodes in covered.items()}
 
     def count_below(self, members: Iterable[int]) -> list[int]:
         """Per node, how many of ``members`` lie in its subtree."""
@@ -474,8 +524,9 @@ class StateTree:
 def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingState:
     """Check one switch configuration against the keep-power-on rules.
 
-    The state's ``StateTree`` answers all three questions, and rides on
-    the result for callers that go on to read the state as a tree. The
+    The state's ``StateTree`` (``Topology.tree``, so a state labelled just
+    before is not labelled again) answers all three questions, and rides
+    on the result for callers that go on to read the state as a tree. The
     closed edges plus one virtual link per source close a loop (paralleling
     two feeders counts) exactly when they outnumber the forest's edges.
     Component 0 is the fed set. Any other component holding a DG is an
@@ -484,7 +535,7 @@ def validate_operating_state(topo: Topology, states: np.ndarray) -> OperatingSta
     a violation.
     """
     states = topo.check_states(states)
-    tree = StateTree.build(topo, states)
+    tree = topo.tree(states)
     comp = tree.comp
     has_loop = _closes_loop(topo, states, comp)
     dg_roots = {comp[i + 1] for i in np.flatnonzero(topo.dg_vector()).tolist()} - {0}

@@ -5,7 +5,10 @@ sources collapsed, then a component labelling for the fed set and the DG
 islands. ``reference_isolate`` is the DG isolation that labelled the cut
 state into components and ran a union-find over component indices as ties
 closed. ``validate_operating_state`` and ``isolate_dg_islands`` must give
-the same results, errors included, from one rooted labelling each.
+the same results, errors included, from one rooted labelling each. A
+topology remembers the last state it labelled; whatever order states
+arrive in, and however their arrays are typed or reused, every reader must
+answer as a freshly built topology would.
 """
 
 from collections import Counter
@@ -16,6 +19,7 @@ import pytest
 
 from episode_fuzz import make_episode, make_mesh
 from gridsleuth import cli
+from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.errors import InfeasibleIsolationError
 from gridsleuth.metering import CustomerMeter, simulate_interval
 from gridsleuth.networks import CT8_SPEC, ct8
@@ -356,3 +360,38 @@ def test_states_to_string_matches_a_per_entry_join(seed):
     ]
     for v in vectors:
         assert states_to_string(v) == "".join("1" if int(s) else "0" for s in v)
+
+
+def state_readings(topo, states):
+    """What validation, coverage and energization say about one state."""
+    check = validate_operating_state(topo, states)
+    feeds = topo.source_vector() | topo.dg_vector()
+    return (check.has_loop, check.dark_loads, check.dg_islands, check.violations,
+            frtu_coverage(topo, states), energized_nodes(topo, states).tolist(),
+            energized_nodes(topo, states, feeds).tolist())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_remembered_tree_is_never_stale(seed):
+    # The planner flips switches in one array in place, so a tree
+    # remembered by the array rather than by its contents would answer
+    # for a state that is gone.
+    rng = np.random.default_rng([73, seed])
+    spec = make_episode(seed).spec
+    topo = build_topology(spec)
+
+    def expect(states):
+        return state_readings(build_topology(spec), states)
+
+    seen = set()
+    states = topo.normal_states().copy()
+    for j in rng.integers(0, topo.n_edges, size=12):
+        got = state_readings(topo, states)
+        assert got == expect(states)
+        seen.add(repr(got))
+        states[j] ^= 1
+    assert len(seen) > 1
+    a, b = ((rng.random(topo.n_edges) < 0.8).astype(np.uint8) for _ in range(2))
+    for states in (a, b, a, a.astype(bool), a.astype(np.int64), a.astype(np.int64) * 256,
+                   b.astype(bool), a.astype(np.int64) * 256, b.astype(np.int64)):
+        assert state_readings(topo, states) == expect(states)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from episode_fuzz import make_mesh
-from gridsleuth import energize, planner
+from gridsleuth import energize, planner, topology
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
 from gridsleuth.planner import _Planner, _state_key, _Visit, isolate_dg_islands, localize
@@ -263,7 +263,7 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     oracle = SimulationOracle(topo, meters, seed=11, threshold=0.1 / len(meters))
 
     calls = {"validate": 0, "coverage": 0, "trees": 0, "move_score": 0,
-             "energized_in_move": 0, "trees_in_move": 0}
+             "energized_in_move": 0, "trees_in_move": 0, "labels": 0}
     in_move = [False]
 
     def counting(name, fn):
@@ -300,6 +300,9 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     monkeypatch.setattr(_Planner, "find_move", find_move)
     monkeypatch.setattr(_Planner, "_move_score",
                         counting("move_score", _Planner._move_score))
+    count_labels = counting("labels", topology.label)
+    monkeypatch.setattr(topology, "label", count_labels)
+    monkeypatch.setattr(energize, "label", count_labels)
 
     report = localize(topo, 1, oracle)
     assert list(report.final_suspects) == [tampered]
@@ -313,6 +316,11 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     # search reads the tree its state's validation built.
     assert calls["trees"] == calls["validate"] + 1
     assert calls["trees_in_move"] == 0
+    # Validation, the planner's coverage and the oracle's energization and
+    # coverage all read the state's one remembered tree, so each distinct
+    # committed state is labelled once, plus the isolation cut. Labelling
+    # per reader made 41 labellings here: four per state plus the cut.
+    assert calls["labels"] <= len(set(report.committed_states)) + 1
     # A pair whose landing state was never read is scored once per
     # distinct outcome, not once per pair (that made 8,956 scorings here).
     assert calls["move_score"] <= 1031
