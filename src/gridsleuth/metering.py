@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .energize import energized_nodes, frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
-from .topology import Topology, int_field, load_topology, states_to_string
+from .topology import Topology, int_field, load_topology
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -124,23 +125,23 @@ def simulate_intervals(
     them) but fall out of every FRTU aggregate. Loads that are simply dark
     consume nothing. Tampering affects only the reported value.
 
-    The state and the meters are checked, and everything that depends only
-    on them (energization, coverage, each meter's FRTU, base loads and
-    tamper masks) is computed, before this returns; the iterator then draws,
-    masks and sums one interval per index, in the order given.
+    The seed must be a non-negative integer, ``noise`` lie in [0, 1] and
+    ``loss_factor`` be finite and nonnegative, as in ``load_scenario``;
+    each raises ``ValueError`` naming it. The state and the meters are
+    checked, and everything that depends only on them (energization,
+    coverage, each meter's FRTU, base loads and tamper masks) is computed,
+    before this returns; the iterator then draws, masks and sums one
+    interval per index, in the order given.
     """
+    seed = seed_field("seed", seed)
+    noise = _in_range("noise", noise, 1.0)
+    loss_factor = _in_range("loss_factor", loss_factor)
     states = topo.check_states(states)
     meters = tuple(meters)
-    loads = topo.load_ids
-    node_ids = [m.node for m in meters]
-    if not loads.issuperset(node_ids):
-        m = next(m for m in meters if m.node not in loads)
-        topo.node(m.node)  # an id outside the network raises InvalidIdError
-        raise UnknownNodeError(f"meter {m.meter_id} placed on non-load node {m.node}")
-    at = np.array(node_ids, dtype=np.intp) - 1
+    nodes = _meter_nodes(topo, meters)
 
     powered = energized_nodes(
-        topo, states, topo.source_vector() | topo.dg_vector())[at] != 0
+        topo, states, topo.source_vector() | topo.dg_vector())[nodes - 1] != 0
     base = np.array([m.base_load_kwh for m in meters], dtype=float)
     is_kind = {kind: np.zeros(len(meters), dtype=bool) for kind in TamperKind}
     value = np.zeros(len(meters))
@@ -152,14 +153,8 @@ def simulate_intervals(
     silenced = is_kind[TamperKind.OUTAGE]
 
     coverage = frtu_coverage(topo, states)
-    names = sorted(coverage)
-    node_frtu = np.full(topo.n_nodes, -1, dtype=np.intp)
-    for j, frtu in enumerate(names):
-        node_frtu[np.fromiter(coverage[frtu], dtype=np.intp) - 1] = j
-    frtu_index = node_frtu[at]
-    metered = frtu_index >= 0
-    sent = metered & ~silenced
-    metered_frtu, sent_frtu = frtu_index[metered], frtu_index[sent]
+    groups = _FrtuGroups(coverage, topo.n_nodes, nodes, silenced)
+    frtu_index = groups.bins - 1
     # Every interval shares these columns, so none may be written to.
     for column in (silenced, frtu_index):
         column.flags.writeable = False
@@ -174,14 +169,7 @@ def simulate_intervals(
         true_kwh = np.where(powered, base * draws, 0.0)
         reported = np.where(fixed, value, true_kwh)
         np.multiply(true_kwh, value, out=reported, where=scale)
-        # Coverages are disjoint, and bincount adds each FRTU's weights one
-        # by one in meter order, so its sums are left-to-right sums over
-        # readings.
-        aggregate = np.bincount(
-            metered_frtu, weights=true_kwh[metered], minlength=len(names),
-        ) * (1.0 + loss_factor)
-        reported_sum = np.bincount(
-            sent_frtu, weights=reported[sent], minlength=len(names))
+        aggregate, reported_sum = groups.sums(true_kwh, reported, loss_factor)
         return MeterInterval(
             index=index,
             states=state,
@@ -193,11 +181,56 @@ def simulate_intervals(
             frtu_readings=tuple(
                 FrtuReading(frtu=frtu, edge=topo.frtu_edges[frtu], aggregate_kwh=agg,
                             reported_sum_kwh=rep, covered_nodes=coverage[frtu])
-                for frtu, agg, rep in zip(
-                    names, aggregate.tolist(), reported_sum.tolist())),
+                for frtu, agg, rep in zip(groups.names, aggregate, reported_sum)),
         )
 
     return map(interval, indices)
+
+
+def _meter_nodes(topo: Topology, meters: Sequence[CustomerMeter]) -> np.ndarray:
+    """Each meter's node id; a meter off the loads raises ``InvalidIdError``
+    (outside the network) or ``UnknownNodeError``."""
+    node_ids = [m.node for m in meters]
+    loads = topo.load_ids
+    if not loads.issuperset(node_ids):
+        m = next(m for m in meters if m.node not in loads)
+        topo.node(m.node)  # an id outside the network raises InvalidIdError
+        raise UnknownNodeError(f"meter {m.meter_id} placed on non-load node {m.node}")
+    return np.array(node_ids, dtype=np.intp)
+
+
+class _FrtuGroups:
+    """Meters grouped by the FRTU that meters their node under one state.
+
+    ``names`` lists the FRTUs in sorted order. ``bins`` gives each meter's
+    bin: 1 plus its FRTU's position in ``names``, or 0 where no FRTU meters
+    its node (a dark load or a DG island). Bin 0 also takes the silenced
+    meters' reports, and no sum reads it.
+    """
+
+    def __init__(self, coverage: Mapping[str, frozenset[int]], n_nodes: int,
+                 nodes: np.ndarray, silenced: np.ndarray) -> None:
+        self.names = names = sorted(coverage)
+        sizes = [len(coverage[frtu]) for frtu in names]
+        covered = np.fromiter(chain.from_iterable(coverage[frtu] for frtu in names),
+                              dtype=np.intp, count=sum(sizes))
+        node_bin = np.zeros(n_nodes + 1, dtype=np.intp)
+        node_bin[covered] = np.repeat(np.arange(1, len(names) + 1), sizes)
+        self.bins = node_bin[nodes]
+        self._sent = np.where(silenced, 0, self.bins)
+
+    def sums(self, true_kwh: np.ndarray, reported: np.ndarray,
+             loss_factor: float) -> tuple[list[float], list[float]]:
+        """Each FRTU's aggregate (true kWh plus losses) and reported total.
+
+        Coverages are disjoint, and bincount adds each bin's weights one by
+        one in meter order, so its sums are left-to-right sums over readings.
+        """
+        n = len(self.names) + 1
+        aggregate = np.bincount(
+            self.bins, weights=true_kwh, minlength=n)[1:] * (1.0 + loss_factor)
+        reported_sum = np.bincount(self._sent, weights=reported, minlength=n)[1:]
+        return aggregate.tolist(), reported_sum.tolist()
 
 
 def simulate_interval(
@@ -222,13 +255,17 @@ def feeder_discrepancy(interval: MeterInterval, frtu: str) -> float:
     report against a zero aggregate has no meaningful ratio and raises.
     """
     fr = interval.frtu(frtu)
-    if fr.aggregate_kwh == 0.0:
-        if fr.reported_sum_kwh == 0.0:
+    return _relative_gap(frtu, fr.aggregate_kwh, fr.reported_sum_kwh)
+
+
+def _relative_gap(frtu: str, aggregate: float, reported_sum: float) -> float:
+    """``feeder_discrepancy``'s rule on one FRTU's two sums."""
+    if aggregate == 0.0:
+        if reported_sum == 0.0:
             return 0.0
         raise ZeroAggregateError(
-            f"{frtu} aggregate is zero but customer reports sum to "
-            f"{fr.reported_sum_kwh}")
-    return abs(fr.aggregate_kwh - fr.reported_sum_kwh) / fr.aggregate_kwh
+            f"{frtu} aggregate is zero but customer reports sum to {reported_sum}")
+    return abs(aggregate - reported_sum) / aggregate
 
 
 def detect(ratio: float, threshold: float = DEFAULT_THRESHOLD) -> bool:
@@ -310,6 +347,21 @@ class SimulationOracle:
     live telemetry without knowing where the tampering sits. Results are
     cached per switch configuration; the planner's check accounting sits
     on top of this and is unaffected by cache hits.
+
+    Every read is of interval 0, simulated once, at the normal state, on
+    the first read that is not cached. That state feeds every load
+    (``build_topology`` refuses a network where it does not), and a meter's
+    draw never depends on the switches, so the interval holds each meter's
+    true and reported kWh under any state where its node is covered: a
+    covered node hangs below a breaker in the fed component. A read at a
+    new state only regroups those columns by that state's FRTU coverage,
+    and its sums equal a simulation at that state bit for bit.
+
+    The parameters are checked as ``load_scenario`` checks them: the seed
+    is a non-negative integer, ``noise`` lies in [0, 1], and
+    ``loss_factor`` and ``threshold`` are finite and nonnegative; each
+    raises ``ValueError`` naming it. Misplaced meters raise on the first
+    read, as ``simulate_interval`` would.
     """
 
     def __init__(
@@ -324,23 +376,34 @@ class SimulationOracle:
     ) -> None:
         self.topology = topo
         self.meters = tuple(meters)
-        self.seed = seed
-        self.noise = noise
-        self.loss_factor = loss_factor
-        self.threshold = threshold
-        self._cache: dict[str, dict[str, bool]] = {}
+        self.seed = seed_field("seed", seed)
+        self.noise = _in_range("noise", noise, 1.0)
+        self.loss_factor = _in_range("loss_factor", loss_factor)
+        self.threshold = _in_range("threshold", threshold)
+        self._interval: MeterInterval | None = None
+        self._nodes: np.ndarray | None = None
+        self._cache: dict[bytes, dict[str, bool]] = {}
 
     def alarms(self, states: np.ndarray) -> dict[str, bool]:
-        key = states_to_string(self.topology.check_states(states))
+        topo = self.topology
+        states = topo.check_states(states)
+        key = states.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        interval = simulate_interval(
-            self.topology, states, self.meters, self.seed,
-            noise=self.noise, loss_factor=self.loss_factor)
+        if self._interval is None:
+            self._interval = simulate_interval(
+                topo, topo.normal_states(), self.meters, self.seed,
+                noise=self.noise, loss_factor=self.loss_factor)
+            self._nodes = _meter_nodes(topo, self.meters)
+        interval = self._interval
+        groups = _FrtuGroups(topo.tree(states).coverage, topo.n_nodes, self._nodes,
+                             interval.silenced)
+        aggregate, reported_sum = groups.sums(
+            interval.true_kwh, interval.reported_kwh, self.loss_factor)
         result = {
-            fr.frtu: detect(feeder_discrepancy(interval, fr.frtu), self.threshold)
-            for fr in interval.frtu_readings
+            frtu: detect(_relative_gap(frtu, agg, rep), self.threshold)
+            for frtu, agg, rep in zip(groups.names, aggregate, reported_sum)
         }
         self._cache[key] = result
         return result

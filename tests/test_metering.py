@@ -5,7 +5,9 @@ simulator replaced: one ``MeterReading`` per meter, then one sum per FRTU
 over the readings it meters. ``simulate_interval`` must give the same
 readings, the same FRTU sums under ``==`` and the same placement errors,
 and ``simulate_intervals`` over several indices must give what one
-``simulate_interval`` call per index gives.
+``simulate_interval`` call per index gives. ``SimulationOracle`` must give
+at every state, in any read order, the alarms and errors of one
+``simulate_interval`` at that state.
 """
 
 import json
@@ -238,6 +240,119 @@ def test_oracle_caches_per_state():
     oracle = SimulationOracle(t, meters_flat(), seed=7)
     first = oracle(t.normal_states())
     assert oracle(t.normal_states()) is first
+
+
+OUT_OF_RANGE = [
+    ("noise", 3.0), ("noise", -0.1), ("noise", float("nan")),
+    ("loss_factor", -0.5), ("loss_factor", float("inf")),
+    ("seed", -1), ("seed", 2.5), ("seed", True),
+]
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE + [
+    ("threshold", float("nan")), ("threshold", -0.1), ("threshold", float("inf")),
+])
+def test_oracle_rejects_out_of_range_parameters(name, value):
+    t = ct8()
+    with pytest.raises(ValueError, match=name):
+        SimulationOracle(t, meters_flat(), **{"seed": 7, name: value})
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+def test_simulation_rejects_out_of_range_parameters(name, value):
+    t = ct8()
+    kw = {"seed": 7, name: value}
+    with pytest.raises(ValueError, match=name):
+        simulate_interval(t, t.normal_states(), meters_flat(), **kw)
+    # The check runs when the intervals are asked for, not on the first draw.
+    with pytest.raises(ValueError, match=name):
+        simulate_intervals(t, t.normal_states(), meters_flat(), indices=range(2), **kw)
+
+
+def test_range_ends_are_accepted():
+    t = ct8()
+    oracle = SimulationOracle(t, meters_flat(), seed=0, noise=1.0, loss_factor=0.0,
+                              threshold=0.0)
+    assert oracle(t.normal_states()) == {"FRTU_1": False, "FRTU_2": False}
+    interval = simulate_interval(t, t.normal_states(), meters_flat(), 0, noise=1.0)
+    assert min(interval.true_kwh) >= 0.0
+
+
+# ------------------------------------------- oracle vs one simulation per read
+
+def read_outcome(read):
+    """``read()``'s alarms, or the error's type and message."""
+    try:
+        return read()
+    except (InvalidIdError, UnknownNodeError, ZeroAggregateError) as exc:
+        return type(exc), str(exc)
+
+
+def simulated_alarms(topo, states, meters, seed, threshold, **kw):
+    """Alarms of one interval simulated at ``states`` itself."""
+    interval = simulate_interval(topo, states, meters, seed, **kw)
+    return {fr.frtu: detect(feeder_discrepancy(interval, fr.frtu), threshold)
+            for fr in interval.frtu_readings}
+
+
+def assert_oracle_matches_simulation(topo, order, meters, seed, threshold, **kw):
+    """Read ``order`` through one oracle, the first a fresh read, each against
+    a simulation at that state; return the outcomes."""
+    oracle = SimulationOracle(topo, meters, seed, threshold=threshold, **kw)
+    outcomes = []
+    for states in order:
+        got = read_outcome(lambda: oracle(states))
+        assert got == read_outcome(
+            lambda: simulated_alarms(topo, states, meters, seed, threshold, **kw))
+        outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_oracle_matches_one_simulation_per_read(seed):
+    rng = np.random.default_rng([89, seed])
+    cases = list(random_cases(seed))
+    outcomes = []
+    for topo in dict.fromkeys(t for t, _ in cases):
+        # random_cases yields the normal state first; read it mid-way, so the
+        # oracle's first read is at a non-normal state.
+        order = [s for t, s in cases if t is topo]
+        order = order[1:6] + order[:1] + order[6:] + order[1:3]
+        kw = {"noise": float(rng.choice([0.05, 0.3])),
+              "loss_factor": float(rng.choice([0.01, 0.04]))}
+        outcomes += assert_oracle_matches_simulation(
+            topo, order, random_meters(topo, rng), int(rng.integers(1 << 20)),
+            float(rng.choice([0.0, 0.05, 0.2])), **kw)
+    assert any(isinstance(outcome, dict) for outcome in outcomes)
+
+
+def test_oracle_zero_aggregate_error_matches_simulation():
+    t = ct8()
+    meters = [CustomerMeter("M-02", 2, 10.0),
+              CustomerMeter("M-05", 5, 0.0, Tamper(TamperKind.FIXED, 4.0))]
+    # Tie closed and edge 5 open: FRTU_1 carries node 5 and alarms on its
+    # fabricated report; at the normal state FRTU_2 carries nothing but it.
+    shifted = states_from_string("1111001", t)
+    got = assert_oracle_matches_simulation(
+        t, [shifted, t.normal_states(), shifted], meters, 3, 0.2,
+        noise=0.1, loss_factor=0.05)
+    assert got[0] == got[2] == {"FRTU_1": True, "FRTU_2": False}
+    assert got[1] == (ZeroAggregateError,
+                      "FRTU_2 aggregate is zero but customer reports sum to 4.0")
+
+
+@pytest.mark.parametrize("bad, error", [(1, UnknownNodeError), (99, InvalidIdError)])
+def test_oracle_raises_placement_errors_on_first_read(bad, error):
+    t = ct8()
+    meters = meters_flat() + [CustomerMeter("M-X", bad, 1.0)]
+    oracle = SimulationOracle(t, meters, seed=7)
+    shifted = states_from_string("1111001", t)
+    with pytest.raises(error) as raised:
+        oracle(shifted)
+    with pytest.raises(error) as want:
+        simulate_interval(t, shifted, meters, seed=7)
+    assert str(raised.value) == str(want.value)
+    assert read_outcome(lambda: oracle(t.normal_states())) == (error, str(want.value))
 
 
 # ------------------------------------------------- columnar vs per-meter loop

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from episode_fuzz import make_mesh
-from gridsleuth import energize, planner, topology
+from gridsleuth import energize, metering, planner, topology
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
 from gridsleuth.planner import _Planner, _state_key, _Visit, isolate_dg_islands, localize
@@ -324,3 +324,34 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     # A pair whose landing state was never read is scored once per
     # distinct outcome, not once per pair (that made 8,956 scorings here).
     assert calls["move_score"] <= 1031
+
+
+def test_one_simulated_interval_per_oracle(monkeypatch):
+    topo = two_feeder_chain(499)
+    calls = {"simulate": 0, "rng": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metering, "simulate_interval",
+                        counting("simulate", metering.simulate_interval))
+    monkeypatch.setattr(np.random, "default_rng", counting("rng", np.random.default_rng))
+    # Node 180 hangs below breaker 1, node 700 below the second feeder's
+    # breaker 999.
+    for oracles, (tampered, alarm_edge) in enumerate(((180, 1), (700, 999)), start=1):
+        meters = [
+            CustomerMeter(f"M-{n:04d}", n, 1.0,
+                          Tamper(TamperKind.SCALE, 0.0) if n == tampered else None)
+            for n in sorted(topo.load_ids)
+        ]
+        oracle = SimulationOracle(topo, meters, seed=11, noise=0.01,
+                                  threshold=0.1 / len(meters))
+        report = localize(topo, alarm_edge, oracle)
+        assert list(report.final_suspects) == [tampered]
+        # Every fresh read at a new switch state regroups the one interval
+        # the oracle simulated; simulating per fresh read made one per check.
+        assert len(set(report.committed_states)) > 3
+        assert calls == {"simulate": oracles, "rng": oracles}
