@@ -307,9 +307,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
     Noise must lie in [0, 1]; losses, the threshold and base loads must be
     nonnegative, and so must tamper values and the seed; every number must
-    be finite (``json`` reads ``NaN``); and the seed, interval count, alarm
+    be finite (``json`` reads ``NaN``); the seed, interval count, alarm
     edge, ground truth and meter nodes must be integers, not booleans or
-    numbers with a fractional part.
+    numbers with a fractional part; and no two meters may share a
+    ``meter_id``.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -326,6 +327,11 @@ def load_scenario(path: str | Path) -> Scenario:
         )
         for m in raw["meters"]
     )
+    seen: set[str] = set()
+    for meter in meters:
+        if meter.meter_id in seen:
+            raise ValueError(f"meter_id {meter.meter_id!r} is used by more than one meter")
+        seen.add(meter.meter_id)
     return Scenario(
         topology=topo,
         meters=meters,

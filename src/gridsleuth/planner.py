@@ -14,20 +14,22 @@ node. An alarm with no suspect left, or a clear reading over a resolved
 node, means the telemetry contradicts itself.
 
 Each distinct switch state is labelled once, when it is first validated:
-its visit keeps the rooted tree, every FRTU's coverage and the bits read
-there. Load transfers are branch exchanges (Civanlar et al., 1988; Baran
-& Wu, 1989): close an open tie (u, v), then open a sectionalizer s on the
-loop it makes. In the rooted tree of a radial state, with the sources
-collapsed into a virtual root, that loop is the tree path u -> LCA -> v,
-and opening s moves exactly the subtree below s from its feeder to the
-feeder of the tie's far end. So every candidate move is scored from
-subtree counts, without building or validating the state it would land on.
+its visit, keyed by the switch vector's bytes as ``Topology.tree`` and the
+simulation oracle key it, keeps the rooted tree, every FRTU's coverage and
+the bits read there. Load transfers are branch exchanges (Civanlar et
+al., 1988; Baran & Wu, 1989): close an open tie (u, v), then open a
+sectionalizer s on the loop it makes. In the rooted tree of a radial
+state, with the sources collapsed into a virtual root, that loop is the
+tree path u -> LCA -> v, and opening s moves exactly the subtree below s
+from its feeder to the feeder of the tie's far end. So every candidate
+move is scored from subtree counts, without building or validating the
+state it would land on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -219,23 +221,6 @@ def _alarm_bit(reply: Mapping[str, bool], frtu: str, key: str) -> bool:
             f"oracle reply for switch states {key} has no reading for {frtu}") from None
 
 
-def _split_score(inside: int, tampered: int, n_suspects: int) -> float | None:
-    """How far a reading covering ``inside`` of the suspects is from halving them.
-
-    None when the reading cannot narrow the alarm: it covers none of
-    the suspects or all of them, or it covers a node already resolved as
-    tampered.
-    """
-    if tampered or not 0 < inside < n_suspects:
-        return None
-    return abs(inside - n_suspects / 2)
-
-
-def _state_key(states: np.ndarray) -> int:
-    """A 0/1 switch vector packed into an int: bit j is edge j + 1."""
-    return int.from_bytes(np.packbits(states, bitorder="little").tobytes(), "little")
-
-
 @dataclass
 class _Visit:
     """One switch state: its tree and coverages, and the alarm bits read there."""
@@ -266,8 +251,8 @@ class _Planner:
         self.states = topo.check_states(
             topo.normal_states() if initial_states is None else initial_states
         ).copy()
-        self.visits: dict[int, _Visit] = {}  # by packed switch vector
-        self.here = 0  # the current states' key
+        self.visits: dict[bytes, _Visit] = {}  # by switch vector bytes
+        self.here = b""  # the current states' key
         # The evidence: (FRTU, coverage, alarm) per reading, in order, the
         # union of the clear coverages, and the nodes resolved as tampered.
         self.readings: list[tuple[str, frozenset[int], bool]] = []
@@ -287,7 +272,7 @@ class _Planner:
         """Validate and commit to the current states; label them once if valid and new."""
         check = validate_operating_state(self.topo, self.states)
         self.committed.append(states_to_string(self.states))
-        self.here = _state_key(self.states)
+        self.here = self.states.tobytes()
         if check.ok and self.here not in self.visits:
             self.visits[self.here] = _Visit(
                 check.tree, frtu_coverage(self.topo, self.states))
@@ -393,6 +378,43 @@ class _Planner:
 
     # --- check and move selection ------------------------------------
 
+    def counts(self, suspects: frozenset[int],
+               coverage: Mapping[str, frozenset[int]]) -> dict[str, tuple[int, int]]:
+        """Each FRTU's (suspects, resolved nodes) covered under ``coverage``."""
+        tampered = self.tampered
+        return {frtu: (len(cov & suspects), len(cov & tampered))
+                for frtu, cov in coverage.items()}
+
+    def split_scores(
+        self,
+        counts: Mapping[str, tuple[int, int]],
+        n_suspects: int,
+        read: Mapping[str, bool],
+        outcome: tuple[int, int, int, int] = (0, 0, 0, 0),
+    ) -> Iterator[tuple[float, str]]:
+        """(score, FRTU) for each FRTU not in ``read`` whose reading would split the suspects.
+
+        ``counts`` holds each FRTU's (suspects, resolved nodes) covered now.
+        ``outcome`` moves a subtree first: (source feeder, destination
+        feeder, suspects moved, resolved nodes moved), feeders being breaker
+        edge ids and 0 none, so the default moves nothing. A reading narrows
+        the alarm only when it covers some of the suspects but not all, and
+        no node already resolved as tampered; its score is how far it is
+        from halving them.
+        """
+        src, dst, moved, resolved = outcome
+        edges, half = self.topo.frtu_edges, n_suspects / 2
+        for frtu, (inside, tampered) in counts.items():
+            if frtu in read:
+                continue
+            eid = edges[frtu]
+            if eid == src:
+                inside, tampered = inside - moved, tampered - resolved
+            if eid == dst:
+                inside, tampered = inside + moved, tampered + resolved
+            if not tampered and 0 < inside < n_suspects:
+                yield abs(inside - half), frtu
+
     def informative_checks(
         self,
         suspects: frozenset[int],
@@ -407,16 +429,9 @@ class _Planner:
         excluded: their result is on the log and re-reading cannot move
         anything.
         """
-        out: list[tuple[float, str]] = []
-        for frtu, cov in coverage.items():
-            if frtu in read:
-                continue
-            score = _split_score(len(cov & suspects), len(cov & self.tampered),
-                                 len(suspects))
-            if score is not None:
-                out.append((score, frtu))
-        out.sort(key=lambda sf: (sf[0], self.topo.frtu_edges[sf[1]]))
-        return out
+        edges = self.topo.frtu_edges
+        return sorted(self.split_scores(self.counts(suspects, coverage), len(suspects), read),
+                      key=lambda sf: (sf[0], edges[sf[1]]))
 
     def best_check(self, origin: str, suspects: frozenset[int]) -> str | None:
         """The FRTU to read next at these states, preferring the alarm's own."""
@@ -446,20 +461,18 @@ class _Planner:
         yet read at its landing state would then split the suspects; the
         lowest (split score, s, edge to close) wins.
 
-        The landing state's key is the current key with the two switch
-        bits flipped, so one lookup finds a visit there. A pair whose
-        landing state was visited is scored against the reads taken there.
-        The others score alike whenever their outcomes match, so the walk
-        keeps the lowest (s, edge to close) per outcome and scores each
-        outcome once. Returns (edge_to_close, edge_to_open) or None.
+        The visited states one branch exchange away, those whose switch
+        vector differs from the current one in exactly one open and one
+        closed edge, are found once per call and keyed by edge to close,
+        then edge to open. A pair landing on one of them is scored against the
+        reads taken there. The others score alike whenever their outcomes
+        match, so each outcome is scored once. Returns (edge_to_close,
+        edge_to_open) or None.
         """
         frozen = self.island_nodes()
         visit = self.visit
         tampered = self.tampered
-        counts = {
-            frtu: (len(cov & suspects), len(cov & tampered))
-            for frtu, cov in visit.coverage.items()
-        }
+        counts = self.counts(suspects, visit.coverage)
         n_suspects = len(suspects)
         tree = visit.tree
         feeder = tree.feeder
@@ -467,66 +480,48 @@ class _Planner:
         # Nodes are seldom resolved while a move is sought: skip a zero pass.
         tampered_below = tree.count_below(tampered) if tampered else [0] * len(feeder)
         sectionalizer = self.topo.sectionalizers
-        states, visits, here = self.states.tolist(), self.visits, self.here
-        unread: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-        to_score: list[tuple[tuple[int, int, int, int], Mapping[str, bool], int, int]] = []
+        states = self.states.tolist()
+        near: dict[int, dict[int, Mapping[str, bool]]] = {}
+        for key, landing in self.visits.items():
+            flipped = (np.frombuffer(key, np.uint8) != self.states).nonzero()[0].tolist()
+            if len(flipped) == 2 and states[flipped[0]] != states[flipped[1]]:
+                to_close, to_open = sorted(flipped, key=states.__getitem__)
+                near.setdefault(to_close + 1, {})[to_open + 1] = landing.reads
+        unread: dict[tuple[int, int, int, int], float | None] = {}  # score per outcome
+        best: tuple[float, int, int] | None = None
         for cand in self.topo.edges:
             tie = cand.id
             if states[tie - 1] or cand.kind is EdgeKind.BREAKER:
                 continue
             if cand.u in frozen or cand.v in frozen:
                 continue
-            closed = here ^ 1 << (tie - 1)
+            visited = near.get(tie, {})
             for sec, below, far in tree.loop(cand.u, cand.v):
                 if not sectionalizer[sec]:
                     continue
                 outcome = (feeder[below], feeder[far],
                            suspects_below[below], tampered_below[below])
-                landing = visits.get(closed ^ 1 << (sec - 1))
-                if landing is not None:
-                    to_score.append((outcome, landing.reads, sec, tie))
-                    continue
-                first = unread.get(outcome)
-                if first is None or (sec, tie) < first:
-                    unread[outcome] = (sec, tie)
-        to_score += [(outcome, {}, sec, tie) for outcome, (sec, tie) in unread.items()]
-        best: tuple[float, int, int] | None = None
-        for outcome, read, sec, tie in to_score:
-            score = self._move_score(counts, n_suspects, *outcome, read)
-            if score is not None and (best is None or (score, sec, tie) < best):
-                best = (score, sec, tie)
+                read = visited.get(sec)
+                if read is not None:
+                    score = self._move_score(counts, n_suspects, outcome, read)
+                else:
+                    score = unread.get(outcome, unread)  # unread itself: not scored yet
+                    if score is unread:
+                        score = unread[outcome] = self._move_score(
+                            counts, n_suspects, outcome, {})
+                if score is not None and (best is None or (score, sec, tie) < best):
+                    best = (score, sec, tie)
         return None if best is None else (best[2], best[1])
 
     def _move_score(
         self,
         counts: Mapping[str, tuple[int, int]],
         n_suspects: int,
-        src: int,
-        dst: int,
-        moved_suspects: int,
-        moved_tampered: int,
+        outcome: tuple[int, int, int, int],
         read: Mapping[str, bool],
     ) -> float | None:
-        """Best split score after a subtree moves from feeder ``src`` to ``dst``.
-
-        ``counts`` holds each FRTU's (suspects, resolved nodes) covered now;
-        feeders are breaker edge ids, 0 for none.
-        """
-        best: float | None = None
-        for frtu, (inside, tampered) in counts.items():
-            if frtu in read:
-                continue
-            eid = self.topo.frtu_edges[frtu]
-            if eid == src:
-                inside -= moved_suspects
-                tampered -= moved_tampered
-            if eid == dst:
-                inside += moved_suspects
-                tampered += moved_tampered
-            score = _split_score(inside, tampered, n_suspects)
-            if score is not None and (best is None or score < best):
-                best = score
-        return best
+        """Best split score once a branch exchange with this ``outcome`` is made."""
+        return min(self.split_scores(counts, n_suspects, read, outcome), default=(None,))[0]
 
     def restore_and_check(self) -> bool:
         """Fold an island back into the grid when progress stalls, and read it.

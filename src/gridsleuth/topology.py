@@ -27,6 +27,7 @@ from .errors import (
     InvalidIdError,
     NonRadialNormalStateError,
     SelfLoopError,
+    TopologyError,
 )
 
 
@@ -197,7 +198,9 @@ def build_topology(spec: Mapping) -> Topology:
 
     ``spec`` holds ``nodes: [{id, kind, dg?}]`` and
     ``edges: [{id, kind, from, to, frtu?}]``; ids must run 1..N in listed
-    order, which fixes the canonical node and edge orderings.
+    order, which fixes the canonical node and edge orderings. Only a load
+    may carry a DG: cutting a DG off opens its node's edges, and on a
+    source that would open the feeder's own breaker.
     """
     nodes = _parse_nodes(spec.get("nodes", ()))
     edges = _parse_edges(spec.get("edges", ()), nodes)
@@ -242,6 +245,9 @@ def _parse_nodes(items: Iterable[Mapping]) -> tuple[Node, ...]:
         seen.add(nid)
         kind = NodeKind(item.get("kind", "load"))
         has_dg = bool(item.get("dg", False))
+        if has_dg and kind is NodeKind.SOURCE:
+            raise TopologyError(
+                f"node {nid} is a source and cannot carry a DG; \"dg\" applies to loads")
         nodes.append(Node(id=nid, kind=kind, has_dg=has_dg))
     return tuple(nodes)
 

@@ -697,6 +697,30 @@ def test_exit_invariant_on_self_loop(tmp_path, capsys):
     assert "connects node 2 to itself" in capsys.readouterr().err
 
 
+def test_exit_invariant_on_a_dg_on_a_source(tmp_path, capsys):
+    spec = _ct8_spec()
+    spec["nodes"][0]["dg"] = True
+    path = _write_json(tmp_path / "dg_source.json", spec)
+    assert main(["topo", "validate", path]) == 2
+    assert "node 1 is a source and cannot carry a DG" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sim", "run"], ["localize", "run"], ["score"]])
+def test_exit_input_on_a_repeated_meter_id(tmp_path, capsys, command):
+    # Scored by id, the node-2 meter would be read against M-05's base
+    # load; simulated, two meters with one id would merge into one series.
+    meters = _ct8_meters({"node": 5, "mode": "scale", "value": 0.0})
+    meters[0]["meter_id"] = "M-05"
+    scn = _write_json(tmp_path / "s.json", _scenario(CT8, meters))
+    history = tmp_path / "h.csv"
+    history.write_text("interval,meter_id,node,reported_kwh\n")
+    extra = {"sim": ["--out", str(history)], "localize": ["--out-dir", str(tmp_path)],
+             "score": ["--history", str(history), "--node", "5",
+                       "--out", str(tmp_path / "scores.csv")]}[command[0]]
+    assert main([*command, scn, *extra]) == 1
+    assert "meter_id 'M-05' is used by more than one meter" in capsys.readouterr().err
+
+
 def test_exit_invariant_on_zero_aggregate(tmp_path, capsys):
     meters = [
         {"meter_id": "M-05", "node": 5, "base_load_kwh": 0.0,

@@ -20,7 +20,7 @@ import pytest
 from episode_fuzz import make_episode, make_mesh
 from gridsleuth import cli
 from gridsleuth.energize import energized_nodes, frtu_coverage
-from gridsleuth.errors import InfeasibleIsolationError
+from gridsleuth.errors import InfeasibleIsolationError, TopologyError
 from gridsleuth.metering import CustomerMeter, simulate_interval
 from gridsleuth.networks import CT8_SPEC, ct8
 from gridsleuth.planner import CLOSE, OPEN, IslandRecord, IsolationPlan, isolate_dg_islands
@@ -251,8 +251,8 @@ BETWEEN_TWO_DGS = small_spec(
     [("breaker", 1, 2), ("sectionalizer", 2, 3), ("sectionalizer", 3, 4),
      ("sectionalizer", 4, 5), ("sectionalizer", 5, 6), ("tie", 4, 7),
      ("breaker", 8, 7), ("tie", 6, 7)])
-# The DG sits on source 1, which keeps it fed, so only the rule that no tie
-# touching an island closes keeps tie 3 open; tie 4 re-feeds loads 2-3.
+# A DG on source 1: cutting it off would open breaker 1, the feeder's own
+# head, so the topology is refused.
 DG_ON_A_SOURCE = small_spec(
     [("source", True), ("load", False), ("load", False), ("source", False),
      ("load", False)],
@@ -301,15 +301,17 @@ def test_one_labelling_on_every_vector_of_shapes_the_fuzzers_miss(spec, shape):
      ((CLOSE, 6), (CLOSE, 8), (OPEN, 2), (OPEN, 3), (OPEN, 4), (OPEN, 5)),
      [{"nodes": [3], "opened": [2, 3], "closed_ties": [6], "restored": False},
       {"nodes": [5], "opened": [4, 5], "closed_ties": [8], "restored": False}]),
-    (DG_ON_A_SOURCE,
-     ((CLOSE, 4), (OPEN, 1)),
-     [{"nodes": [1], "opened": [1], "closed_ties": [4], "restored": False}]),
 ])
 def test_isolation_ties_on_small_networks(spec, ops, islands):
     topo = build_topology(spec)
     got = isolation_outcome(isolate_dg_islands, topo, topo.normal_states())
     assert got[:2] == (ops, islands)
     assert got == isolation_outcome(reference_isolate, topo, topo.normal_states())
+
+
+def test_a_dg_on_a_source_is_refused():
+    with pytest.raises(TopologyError, match=r"node 1 is a source and cannot carry a DG"):
+        build_topology(DG_ON_A_SOURCE)
 
 
 def test_multi_node_dg_island_keeps_its_load_out_of_every_aggregate():

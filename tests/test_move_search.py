@@ -16,7 +16,7 @@ from episode_fuzz import make_mesh
 from gridsleuth import energize, metering, planner, topology
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
-from gridsleuth.planner import _Planner, _state_key, _Visit, isolate_dg_islands, localize
+from gridsleuth.planner import _Planner, _Visit, isolate_dg_islands, localize
 from gridsleuth.topology import (
     EdgeKind,
     NodeKind,
@@ -78,7 +78,7 @@ def reference_find_move(plan, suspects):
             tried.append(trial)
             if not validate_operating_state(topo, trial).ok:
                 continue
-            visit = plan.visits.get(_state_key(trial))
+            visit = plan.visits.get(trial.tobytes())
             read = visit.reads if visit else {}
             ranked = plan.informative_checks(suspects, frtu_coverage(topo, trial), read)
             if not ranked:
@@ -138,7 +138,7 @@ def random_planner(topo, rng, suspects=(2, 9), landings=(0, 4)):
         cand, sec = neighbours[int(pick)]
         there = plan.states.copy()
         there[cand - 1], there[sec - 1] = 1, 0
-        plan.visits[_state_key(there)] = _Visit(
+        plan.visits[there.tobytes()] = _Visit(
             validate_operating_state(topo, there).tree, frtu_coverage(topo, there),
             {f: False for f in frtus if rng.random() < 0.6})
     return plan, frozenset(nodes) - plan.clean
