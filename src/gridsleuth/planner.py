@@ -6,12 +6,13 @@ against an oracle (live telemetry or a simulation) that answers one
 question: does a given FRTU alarm under given switch states?
 
 Each answer is a reading: the FRTU, its coverage at the states it was
-read in, and the alarm bit. Readings go on one append-only log. A clear
-reading marks its whole coverage clean. An alarm stays open until its
-coverage holds a node resolved as tampered; its suspects are the covered
-nodes not yet clean, and an open alarm down to one suspect resolves that
-node. An alarm with no suspect left, or a clear reading over a resolved
-node, means the telemetry contradicts itself.
+read in, and the alarm bit. Readings go on one append-only log, and one
+pure function, ``decode``, reads it with the DD rule of group testing: a
+clear reading marks its whole coverage clean, and an alarm stays open
+until its coverage holds a node resolved as tampered; its suspects are the
+covered nodes not yet clean. The planner resolves an open alarm down to
+one suspect. An alarm with no suspect left, or a clear reading over a
+resolved node, means the telemetry contradicts itself.
 
 Each distinct switch state is labelled once, when it is first validated:
 its visit, keyed by the switch vector's bytes as ``Topology.tree`` and the
@@ -29,7 +30,7 @@ state it would land on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -221,6 +222,36 @@ def _alarm_bit(reply: Mapping[str, bool], frtu: str, key: str) -> bool:
             f"oracle reply for switch states {key} has no reading for {frtu}") from None
 
 
+Reading = tuple[str, frozenset[int], bool]  # (FRTU, coverage, alarm)
+
+
+def decode(readings: Iterable[Reading],
+           tampered: AbstractSet[int]) -> list[tuple[str, frozenset[int]]]:
+    """The alarms that ``tampered`` leaves open, oldest first, with their suspects.
+
+    One pass over the log in order: a clear reading cleans its coverage,
+    and an alarm whose coverage holds no tampered node stays open with its
+    covered nodes not clean by the end of the log. Raises at the first
+    reading that contradicts what came before it: an alarm whose whole
+    coverage is already clean, or a clear reading over a tampered node.
+    """
+    clean: set[int] = set()
+    alarms: list[tuple[str, frozenset[int]]] = []
+    for frtu, coverage, alarm in readings:
+        if not alarm:
+            hit = coverage & tampered
+            if hit:
+                raise OracleInconsistentError(
+                    f"{frtu} reads clear while covering tampered nodes {sorted(hit)}")
+            clean |= coverage
+        elif not coverage & tampered:
+            if coverage <= clean:
+                raise OracleInconsistentError(
+                    f"{frtu} alarms but every covered node is exonerated")
+            alarms.append((frtu, coverage))
+    return [(frtu, coverage - clean) for frtu, coverage in alarms]
+
+
 @dataclass
 class _Visit:
     """One switch state: its tree and coverages, and the alarm bits read there."""
@@ -253,10 +284,9 @@ class _Planner:
         ).copy()
         self.visits: dict[bytes, _Visit] = {}  # by switch vector bytes
         self.here = b""  # the current states' key
-        # The evidence: (FRTU, coverage, alarm) per reading, in order, the
-        # union of the clear coverages, and the nodes resolved as tampered.
-        self.readings: list[tuple[str, frozenset[int], bool]] = []
-        self.clean: set[int] = set()
+        # The evidence: every reading, in order, and the nodes resolved as
+        # tampered; ``decode`` reads the two.
+        self.readings: list[Reading] = []
         self.tampered: set[int] = set()
         self.actions: list[SwitchingAction] = []
         self.checks: list[FrtuCheck] = []
@@ -313,33 +343,12 @@ class _Planner:
         self.log.append(
             f"check {frtu} after step {len(self.actions)}: "
             f"{'ALARM' if alarm else 'clear'}")
-        self.record(frtu, visit.coverage[frtu], alarm)
-
-    def record(self, frtu: str, coverage: frozenset[int], alarm: bool) -> None:
-        """Check one reading against the evidence, then append it to ``readings``."""
-        if alarm:
-            if not coverage & self.tampered and coverage <= self.clean:
-                raise OracleInconsistentError(
-                    f"{frtu} alarms but every covered node is exonerated")
-        else:
-            hit = coverage & self.tampered
-            if hit:
-                raise OracleInconsistentError(
-                    f"{frtu} reads clear while covering tampered nodes {sorted(hit)}")
-            self.clean |= coverage
-        self.readings.append((frtu, coverage, alarm))
-
-    def unexplained(self) -> list[tuple[str, frozenset[int]]]:
-        """Open alarms, oldest first: each FRTU with its covered nodes not yet clean."""
-        return [
-            (frtu, coverage - self.clean)
-            for frtu, coverage, alarm in self.readings
-            if alarm and not coverage & self.tampered
-        ]
+        self.readings.append((frtu, visit.coverage[frtu], alarm))
 
     def all_suspects(self) -> set[int]:
         """Resolved nodes plus every node an open alarm still points at."""
-        return set(self.tampered).union(*(nodes for _, nodes in self.unexplained()))
+        return set(self.tampered).union(
+            *(nodes for _, nodes in decode(self.readings, self.tampered)))
 
     def snapshot(self) -> None:
         snap = tuple(sorted(self.all_suspects()))
@@ -352,7 +361,7 @@ class _Planner:
         None when every alarm is explained; raises when one has no suspect left.
         """
         while True:
-            open_alarms = self.unexplained()
+            open_alarms = decode(self.readings, self.tampered)
             for frtu, nodes in open_alarms:
                 if not nodes:
                     raise OracleInconsistentError(
@@ -415,33 +424,16 @@ class _Planner:
             if not tampered and 0 < inside < n_suspects:
                 yield abs(inside - half), frtu
 
-    def informative_checks(
-        self,
-        suspects: frozenset[int],
-        coverage: Mapping[str, frozenset[int]],
-        read: Mapping[str, bool],
-    ) -> list[tuple[float, str]]:
-        """FRTUs whose reading would split the suspect set, best first.
-
-        A useful coverage cuts the suspects properly (neither none nor all)
-        and contains no already-resolved node, so either answer narrows the
-        alarm. FRTUs in ``read``, already read at these states, are
-        excluded: their result is on the log and re-reading cannot move
-        anything.
-        """
-        edges = self.topo.frtu_edges
-        return sorted(self.split_scores(self.counts(suspects, coverage), len(suspects), read),
-                      key=lambda sf: (sf[0], edges[sf[1]]))
-
     def best_check(self, origin: str, suspects: frozenset[int]) -> str | None:
-        """The FRTU to read next at these states, preferring the alarm's own."""
-        visit = self.visit
-        ranked = self.informative_checks(suspects, visit.coverage, visit.reads)
-        if not ranked:
-            return None
-        best_score = ranked[0][0]
-        tied = [frtu for score, frtu in ranked if score == best_score]
-        return origin if origin in tied else tied[0]
+        """The unread FRTU here that best splits the suspects, or None.
+
+        Ties go to the alarm's own FRTU, then to the lowest breaker id.
+        """
+        visit, edges = self.visit, self.topo.frtu_edges
+        best = min(
+            self.split_scores(self.counts(suspects, visit.coverage), len(suspects), visit.reads),
+            key=lambda sf: (sf[0], sf[1] != origin, edges[sf[1]]), default=None)
+        return None if best is None else best[1]
 
     def island_nodes(self) -> set[int]:
         return set().union(*(i.nodes for i in self.islands if not i.restored))
@@ -594,8 +586,10 @@ class _Planner:
         # The suspect set starts as the alarmed FRTU's coverage: exactly
         # the customers it meters. DG-island loads are in no coverage.
         self.history.append(tuple(sorted(first.coverage[self.alarm_frtu])))
-        for frtu in sorted(first.coverage):
-            self.record(frtu, first.coverage[frtu], first.reads[frtu])
+        self.readings = [(frtu, first.coverage[frtu], first.reads[frtu])
+                         for frtu in sorted(first.coverage)]
+        # A contradiction on the board is named before any switching.
+        decode(self.readings, self.tampered)
 
         plan = isolate_dg_islands(self.topo, self.states)
         self.islands = list(plan.islands)

@@ -198,9 +198,11 @@ def build_topology(spec: Mapping) -> Topology:
 
     ``spec`` holds ``nodes: [{id, kind, dg?}]`` and
     ``edges: [{id, kind, from, to, frtu?}]``; ids must run 1..N in listed
-    order, which fixes the canonical node and edge orderings. Only a load
-    may carry a DG: cutting a DG off opens its node's edges, and on a
-    source that would open the feeder's own breaker.
+    order, which fixes the canonical node and edge orderings. ``dg`` is a
+    boolean, and only a load may carry a DG: cutting a DG off opens its
+    node's edges, and on a source that would open the feeder's own
+    breaker. Each breaker's FRTU (``FRTU_<id>`` when omitted) names that
+    breaker alone, since readings and coverages are keyed by FRTU.
     """
     nodes = _parse_nodes(spec.get("nodes", ()))
     edges = _parse_edges(spec.get("edges", ()), nodes)
@@ -244,7 +246,9 @@ def _parse_nodes(items: Iterable[Mapping]) -> tuple[Node, ...]:
                 f"position {pos} has id {nid}")
         seen.add(nid)
         kind = NodeKind(item.get("kind", "load"))
-        has_dg = bool(item.get("dg", False))
+        has_dg = item.get("dg", False)
+        if type(has_dg) is not bool:
+            raise ValueError(f"node {nid} \"dg\" must be true or false, got {has_dg!r}")
         if has_dg and kind is NodeKind.SOURCE:
             raise TopologyError(
                 f"node {nid} is a source and cannot carry a DG; \"dg\" applies to loads")
@@ -257,6 +261,7 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
     edges: list[Edge] = []
     seen: set[int] = set()
     seen_pairs: set[frozenset[int]] = set()
+    breaker_of: dict[str, int] = {}  # FRTU -> its breaker edge
     for pos, item in enumerate(items, start=1):
         eid = int_field("edge id", item["id"])
         if eid in seen:
@@ -280,8 +285,13 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
         seen_pairs.add(pair)
         kind = EdgeKind(item.get("kind", "sectionalizer"))
         frtu = item.get("frtu")
-        if kind is EdgeKind.BREAKER and frtu is None:
-            frtu = f"FRTU_{eid}"
+        if kind is EdgeKind.BREAKER:
+            if frtu is None:
+                frtu = f"FRTU_{eid}"
+            first = breaker_of.setdefault(frtu, eid)
+            if first != eid:
+                raise DuplicateIdError(
+                    f"FRTU {frtu} names both breaker edges {first} and {eid}")
         edges.append(Edge(id=eid, kind=kind, u=u, v=v, frtu=frtu))
     return tuple(edges)
 

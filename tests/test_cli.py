@@ -705,6 +705,26 @@ def test_exit_invariant_on_a_dg_on_a_source(tmp_path, capsys):
     assert "node 1 is a source and cannot carry a DG" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generated", [False, True])
+def test_exit_invariant_on_breakers_sharing_an_frtu(tmp_path, capsys, generated):
+    # Breaker 1 takes breaker 7's FRTU name, given in the file or generated.
+    spec = _ct8_spec()
+    spec["edges"][0]["frtu"] = spec["edges"][6]["frtu"] = "FRTU_7"
+    if generated:
+        del spec["edges"][6]["frtu"]
+    path = _write_json(tmp_path / "shared_frtu.json", spec)
+    assert main(["topo", "validate", path]) == 2
+    assert "FRTU FRTU_7 names both breaker edges 1 and 7" in capsys.readouterr().err
+
+
+def test_exit_input_on_a_non_boolean_dg(tmp_path, capsys):
+    spec = _ct8_spec()
+    spec["nodes"][5]["dg"] = "false"
+    path = _write_json(tmp_path / "dg_string.json", spec)
+    assert main(["topo", "validate", path]) == 1
+    assert "node 6 \"dg\" must be true or false, got 'false'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["sim", "run"], ["localize", "run"], ["score"]])
 def test_exit_input_on_a_repeated_meter_id(tmp_path, capsys, command):
     # Scored by id, the node-2 meter would be read against M-05's base

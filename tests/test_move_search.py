@@ -80,10 +80,11 @@ def reference_find_move(plan, suspects):
                 continue
             visit = plan.visits.get(trial.tobytes())
             read = visit.reads if visit else {}
-            ranked = plan.informative_checks(suspects, frtu_coverage(topo, trial), read)
-            if not ranked:
+            counts = plan.counts(suspects, frtu_coverage(topo, trial))
+            score = min(plan.split_scores(counts, len(suspects), read), default=(None,))[0]
+            if score is None:
                 continue
-            entry = (ranked[0][0], sec, cand.id)
+            entry = (score, sec, cand.id)
             if best is None or entry < best:
                 best = entry
     return (None if best is None else (best[2], best[1])), tried
@@ -126,7 +127,7 @@ def random_planner(topo, rng, suspects=(2, 9), landings=(0, 4)):
     frtus = sorted(topo.frtu_edges)
     nodes = {int(n) for n in rng.choice(loads, size=int(rng.integers(*suspects)), replace=False)}
     plan.tampered = {n for n in loads if n not in nodes and rng.random() < 0.05}
-    plan.clean = {n for n in loads if rng.random() < 0.1}
+    clean = {n for n in loads if rng.random() < 0.1}
     plan.visit.reads = {f: bool(rng.random() < 0.5) for f in frtus if rng.random() < 0.3}
     neighbours = []
     for cand in topo.edges:
@@ -141,7 +142,7 @@ def random_planner(topo, rng, suspects=(2, 9), landings=(0, 4)):
         plan.visits[there.tobytes()] = _Visit(
             validate_operating_state(topo, there).tree, frtu_coverage(topo, there),
             {f: False for f in frtus if rng.random() < 0.6})
-    return plan, frozenset(nodes) - plan.clean
+    return plan, frozenset(nodes) - clean
 
 
 @pytest.mark.parametrize("seed", range(150))

@@ -1,5 +1,7 @@
 """Localization planner: golden walks, isolation, and fuzzed episodes."""
 
+import hashlib
+import json
 import math
 import zlib
 
@@ -18,6 +20,7 @@ from gridsleuth.networks import ct8
 from gridsleuth.planner import (
     CLOSE,
     OPEN,
+    decode,
     isolate_dg_islands,
     localize,
     restore_island_ops,
@@ -303,13 +306,62 @@ CONTRADICTIONS = {
 }
 
 
+def cov(*nodes):
+    return frozenset(nodes)
+
+
+def test_decode_clear_reading_cleans_its_coverage():
+    log = [("A", cov(1, 2, 3), True), ("B", cov(1, 2), False)]
+    assert decode(log, set()) == [("A", cov(3))]
+
+
+def test_decode_drops_an_alarm_covering_a_tampered_node():
+    log = [("A", cov(1, 2), True), ("B", cov(3, 4), True)]
+    assert decode(log, {2}) == [("B", cov(3, 4))]
+
+
+def test_decode_returns_open_alarms_oldest_first_with_their_suspects():
+    log = [("B", cov(4, 5, 6), True), ("A", cov(1, 2, 3), True),
+           ("C", cov(2, 6), False), ("B", cov(4, 5), True)]
+    assert decode(log, set()) == [("B", cov(4, 5)), ("A", cov(1, 3)), ("B", cov(4, 5))]
+
+
+def test_decode_names_an_alarm_over_clean_nodes():
+    log = [("A", cov(1, 2), False), ("B", cov(3), False), ("C", cov(1, 3), True),
+           ("D", cov(2), True)]
+    with pytest.raises(OracleInconsistentError,
+                       match="^C alarms but every covered node is exonerated$"):
+        decode(log, set())
+
+
+def test_decode_names_a_clear_reading_over_a_tampered_node():
+    log = [("A", cov(1, 2), True), ("B", cov(2, 3), False), ("C", cov(1), False)]
+    with pytest.raises(OracleInconsistentError,
+                       match=r"^B reads clear while covering tampered nodes \[2\]$"):
+        decode(log, {2})
+
+
+def test_decode_keeps_an_alarm_emptied_by_a_later_clear_reading():
+    # Only a reading that comes after every clear one over its coverage is
+    # a contradiction; an alarm emptied later is left for the caller.
+    log = [("A", cov(1, 2), True), ("B", cov(1, 2, 3), False)]
+    assert decode(log, set()) == [("A", cov())]
+
+
+# SHA-256 of the 600 lying-oracle outcomes below, newline-joined: each the
+# report's sorted JSON or the contradiction as "Type: message".
+LYING_DIGEST = "f1d514d616ce81ac606b4e39f08de17d169bea8c87ef985b6d0d2d9a595758dc"
+
+
 def test_lying_oracle_ends_in_a_report_or_a_named_contradiction():
     # A seeded coin alarms one read in three, on top of the requested
     # feeder's alarm on the operator's board. Every run must either end
     # in a report or name the contradiction it hit, and each of the three
-    # contradictions must turn up somewhere in the set.
+    # contradictions must turn up somewhere in the set. The digest pins
+    # every outcome, so which contradiction wins cannot change unnoticed.
     seen = {"report": 0} | {kind: 0 for kind in CONTRADICTIONS.values()}
-    for seed in range(120):
+    outcomes = []
+    for seed in range(600):
         topo = make_mesh(seed)
         breakers = sorted(e.id for e in topo.edges if e.kind is EdgeKind.BREAKER)
         alarm_edge = breakers[seed % len(breakers)]
@@ -323,14 +375,17 @@ def test_lying_oracle_ends_in_a_report_or_a_named_contradiction():
                     for f in topo.frtu_edges}
 
         try:
-            localize(topo, alarm_edge, oracle)
+            report = localize(topo, alarm_edge, oracle)
         except OracleInconsistentError as exc:
             kinds = [k for text, k in CONTRADICTIONS.items() if text in str(exc)]
             assert len(kinds) == 1, f"seed {seed}: {exc}"
             seen[kinds[0]] += 1
+            outcomes.append(f"{type(exc).__name__}: {exc}")
         else:
             seen["report"] += 1
+            outcomes.append(json.dumps(report.to_dict(), sort_keys=True))
     assert all(seen.values()), seen
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == LYING_DIGEST
 
 
 @pytest.mark.parametrize("bits", ["1111111", "0000000"])

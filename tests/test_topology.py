@@ -1,6 +1,7 @@
 """Topology construction, validation, and matrix encodings."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,44 @@ def test_duplicate_node_id():
         "edges": [],
     }
     with pytest.raises(DuplicateIdError):
+        build_topology(spec)
+
+
+def two_feeder_spec(frtu_1, frtu_5):
+    # Source 1 feeds loads 2-3 through breaker 1, source 6 feeds 4-5
+    # through breaker 5; tie 3 joins the feeders. A None FRTU is omitted.
+    edges = [
+        {"id": 1, "kind": "breaker", "from": 1, "to": 2, "frtu": frtu_1},
+        {"id": 2, "kind": "sectionalizer", "from": 2, "to": 3},
+        {"id": 3, "kind": "tie", "from": 3, "to": 4},
+        {"id": 4, "kind": "sectionalizer", "from": 4, "to": 5},
+        {"id": 5, "kind": "breaker", "from": 5, "to": 6, "frtu": frtu_5},
+    ]
+    return {
+        "nodes": [{"id": i, "kind": "source" if i in (1, 6) else "load"}
+                  for i in range(1, 7)],
+        "edges": [{k: v for k, v in e.items() if v is not None} for e in edges],
+    }
+
+
+def test_breakers_sharing_an_frtu_rejected():
+    # One name for two breakers would key one coverage for both feeders.
+    with pytest.raises(DuplicateIdError, match="^FRTU F names both breaker edges 1 and 5$"):
+        build_topology(two_feeder_spec("F", "F"))
+
+
+def test_explicit_frtu_colliding_with_a_generated_one_rejected():
+    with pytest.raises(DuplicateIdError,
+                       match="^FRTU FRTU_5 names both breaker edges 1 and 5$"):
+        build_topology(two_feeder_spec("FRTU_5", None))
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+def test_dg_must_be_a_boolean(value):
+    spec = two_feeder_spec(None, None)
+    spec["nodes"][2]["dg"] = value
+    with pytest.raises(ValueError,
+                       match=re.escape(f'node 3 "dg" must be true or false, got {value!r}')):
         build_topology(spec)
 
 
