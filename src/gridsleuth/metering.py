@@ -83,7 +83,6 @@ class MeterInterval:
     """
 
     index: int
-    states: tuple[int, ...]
     meters: tuple[CustomerMeter, ...]
     true_kwh: np.ndarray
     reported_kwh: np.ndarray
@@ -158,7 +157,6 @@ def simulate_intervals(
     # Every interval shares these columns, so none may be written to.
     for column in (silenced, frtu_index):
         column.flags.writeable = False
-    state = tuple(states.tolist())
 
     def interval(index: int) -> MeterInterval:
         # One generator per (seed, interval) and one draw per meter, in
@@ -172,7 +170,6 @@ def simulate_intervals(
         aggregate, reported_sum = groups.sums(true_kwh, reported, loss_factor)
         return MeterInterval(
             index=index,
-            states=state,
             meters=meters,
             true_kwh=true_kwh,
             reported_kwh=reported,
@@ -309,8 +306,8 @@ def load_scenario(path: str | Path) -> Scenario:
     nonnegative, and so must tamper values and the seed; every number must
     be finite (``json`` reads ``NaN``); the seed, interval count, alarm
     edge, ground truth and meter nodes must be integers, not booleans or
-    numbers with a fractional part; and no two meters may share a
-    ``meter_id``.
+    numbers with a fractional part; and each ``meter_id`` must be a
+    non-empty string that no other meter uses.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -329,6 +326,9 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     seen: set[str] = set()
     for meter in meters:
+        # The history names a meter by its id as text: 5 and "5" would be one.
+        if not (isinstance(meter.meter_id, str) and meter.meter_id):
+            raise ValueError(f"meter_id must be a non-empty string, got {meter.meter_id!r}")
         if meter.meter_id in seen:
             raise ValueError(f"meter_id {meter.meter_id!r} is used by more than one meter")
         seen.add(meter.meter_id)
@@ -350,18 +350,18 @@ class SimulationOracle:
     """Answers 'does this FRTU alarm under these switch states?'.
 
     Wraps the interval simulator so the localization planner can consult
-    live telemetry without knowing where the tampering sits. Results are
-    cached per switch configuration; the planner's check accounting sits
-    on top of this and is unaffected by cache hits.
+    live telemetry without knowing where the tampering sits. Each call
+    answers for every FRTU at once; the planner asks once per switch state
+    and keeps the reply, so nothing is cached here.
 
     Every read is of interval 0, simulated once, at the normal state, on
-    the first read that is not cached. That state feeds every load
+    the first read. That state feeds every load
     (``build_topology`` refuses a network where it does not), and a meter's
     draw never depends on the switches, so the interval holds each meter's
     true and reported kWh under any state where its node is covered: a
-    covered node hangs below a breaker in the fed component. A read at a
-    new state only regroups those columns by that state's FRTU coverage,
-    and its sums equal a simulation at that state bit for bit.
+    covered node hangs below a breaker in the fed component. Each read
+    only regroups those columns by its state's FRTU coverage, and its sums
+    equal a simulation at that state bit for bit.
 
     The parameters are checked as ``load_scenario`` checks them: the seed
     is a non-negative integer, ``noise`` lies in [0, 1], and
@@ -388,15 +388,10 @@ class SimulationOracle:
         self.threshold = _in_range("threshold", threshold)
         self._interval: MeterInterval | None = None
         self._nodes: np.ndarray | None = None
-        self._cache: dict[bytes, dict[str, bool]] = {}
 
-    def alarms(self, states: np.ndarray) -> dict[str, bool]:
+    def __call__(self, states: np.ndarray) -> dict[str, bool]:
         topo = self.topology
         states = topo.check_states(states)
-        key = states.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if self._interval is None:
             self._interval = simulate_interval(
                 topo, topo.normal_states(), self.meters, self.seed,
@@ -407,12 +402,7 @@ class SimulationOracle:
                              interval.silenced)
         aggregate, reported_sum = groups.sums(
             interval.true_kwh, interval.reported_kwh, self.loss_factor)
-        result = {
+        return {
             frtu: detect(_relative_gap(frtu, agg, rep), self.threshold)
             for frtu, agg, rep in zip(groups.names, aggregate, reported_sum)
         }
-        self._cache[key] = result
-        return result
-
-    def __call__(self, states: np.ndarray) -> dict[str, bool]:
-        return self.alarms(states)

@@ -14,10 +14,11 @@ covered nodes not yet clean. The planner resolves an open alarm down to
 one suspect. An alarm with no suspect left, or a clear reading over a
 resolved node, means the telemetry contradicts itself.
 
-Each distinct switch state is labelled once, when it is first validated:
-its visit, keyed by the switch vector's bytes as ``Topology.tree`` and the
-simulation oracle key it, keeps the rooted tree, every FRTU's coverage and
-the bits read there. Load transfers are branch exchanges (Civanlar et
+Each distinct switch state is labelled once, when it is first validated,
+and the oracle is asked about it at most once, on its first read: its
+visit, keyed by the switch vector's bytes as ``Topology.tree`` keys it,
+keeps the rooted tree, every FRTU's coverage, the oracle's reply and the
+bits read from it. Load transfers are branch exchanges (Civanlar et
 al., 1988; Baran & Wu, 1989): close an open tie (u, v), then open a
 sectionalizer s on the loop it makes. In the rooted tree of a radial
 state, with the sources collapsed into a virtual root, that loop is the
@@ -136,8 +137,9 @@ def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
     component; ties touching an island are never used. Fragments are taken
     in order of their smallest node id, each with the lowest-numbered tie
     that joins it to a fed component, and the tie is charged to the lowest
-    DG whose cut touches the fragment. The cut state's ``StateTree``
-    labels its components once, and a set of fed component roots tracks
+    DG whose cut touches the fragment. The cut state's components come
+    from its one labelling, ``Topology.tree`` (so a cut that opens nothing
+    reuses the starting state's), and a set of fed component roots tracks
     what is fed as ties close. Closes are listed before opens so no
     customer goes dark mid-sequence.
 
@@ -156,7 +158,7 @@ def isolate_dg_islands(topo: Topology, states: np.ndarray) -> IsolationPlan:
                 opened_by[dg].append(edge.id)
                 cut_by.setdefault(edge.other(dg), dg)
 
-    comp = StateTree.build(topo, work).comp
+    comp = topo.tree(work).comp  # the tree copies work, so closing ties below leaves it be
     fed = {0}  # component roots fed from a source, 0 being the virtual root's
     stranded: dict[int, list[int]] = {}
     for node in topo.nodes:
@@ -254,11 +256,13 @@ def decode(readings: Iterable[Reading],
 
 @dataclass
 class _Visit:
-    """One switch state: its tree and coverages, and the alarm bits read there."""
+    """One switch state: its tree and coverages, the oracle's one reply there
+    (asked for on the first read), and the alarm bits read from it."""
 
     tree: StateTree
     coverage: dict[str, frozenset[int]]
     reads: dict[str, bool] = field(default_factory=dict)
+    reply: Mapping[str, bool] | None = None
 
 
 class _Planner:
@@ -283,7 +287,7 @@ class _Planner:
             topo.normal_states() if initial_states is None else initial_states
         ).copy()
         self.visits: dict[bytes, _Visit] = {}  # by switch vector bytes
-        self.here = b""  # the current states' key
+        self.visit: _Visit  # the current states' visit, set by ``enter``
         # The evidence: every reading, in order, and the nodes resolved as
         # tampered; ``decode`` reads the two.
         self.readings: list[Reading] = []
@@ -302,15 +306,12 @@ class _Planner:
         """Validate and commit to the current states; label them once if valid and new."""
         check = validate_operating_state(self.topo, self.states)
         self.committed.append(states_to_string(self.states))
-        self.here = self.states.tobytes()
-        if check.ok and self.here not in self.visits:
-            self.visits[self.here] = _Visit(
-                check.tree, frtu_coverage(self.topo, self.states))
+        if check.ok:
+            key = self.states.tobytes()
+            if key not in self.visits:
+                self.visits[key] = _Visit(check.tree, frtu_coverage(self.topo, self.states))
+            self.visit = self.visits[key]
         return check
-
-    @property
-    def visit(self) -> _Visit:
-        return self.visits[self.here]
 
     def commit_group(self, ops: Sequence[tuple[str, int]]) -> None:
         """Apply one ordered action group and validate the end state.
@@ -336,7 +337,9 @@ class _Planner:
         visit = self.visit
         if frtu in visit.reads:
             return
-        alarm = _alarm_bit(self.oracle(self.states), frtu, self.committed[-1])
+        if visit.reply is None:
+            visit.reply = self.oracle(self.states)
+        alarm = _alarm_bit(visit.reply, frtu, self.committed[-1])
         visit.reads[frtu] = alarm
         self.checks.append(
             FrtuCheck(after_step=len(self.actions), frtu=frtu, alarm=alarm))
@@ -569,9 +572,9 @@ class _Planner:
         # Continuous telemetry: every FRTU's alarm bit is already on the
         # operator's board before any switching, so this sweep is free.
         first = self.visit
-        readings0 = self.oracle(self.states)
+        first.reply = self.oracle(self.states)
         for frtu in sorted(first.coverage):
-            first.reads[frtu] = _alarm_bit(readings0, frtu, self.committed[0])
+            first.reads[frtu] = _alarm_bit(first.reply, frtu, self.committed[0])
         if not first.reads.get(self.alarm_frtu, False):
             # Telemetry is quiet on the requested feeder: nothing to chase.
             self.log.append(

@@ -201,8 +201,9 @@ def build_topology(spec: Mapping) -> Topology:
     order, which fixes the canonical node and edge orderings. ``dg`` is a
     boolean, and only a load may carry a DG: cutting a DG off opens its
     node's edges, and on a source that would open the feeder's own
-    breaker. Each breaker's FRTU (``FRTU_<id>`` when omitted) names that
-    breaker alone, since readings and coverages are keyed by FRTU.
+    breaker. Each breaker's FRTU (``FRTU_<id>`` when omitted or null) is a
+    non-empty string naming that breaker alone, since readings and
+    coverages are keyed by FRTU; only a breaker may name one.
     """
     nodes = _parse_nodes(spec.get("nodes", ()))
     edges = _parse_edges(spec.get("edges", ()), nodes)
@@ -285,9 +286,13 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
         seen_pairs.add(pair)
         kind = EdgeKind(item.get("kind", "sectionalizer"))
         frtu = item.get("frtu")
+        if kind is not EdgeKind.BREAKER and frtu is not None:
+            raise TopologyError(f"edge {eid} is a {kind.value} and cannot carry an FRTU")
         if kind is EdgeKind.BREAKER:
             if frtu is None:
                 frtu = f"FRTU_{eid}"
+            elif not (isinstance(frtu, str) and frtu):
+                raise ValueError(f"edge {eid} \"frtu\" must be a non-empty string, got {frtu!r}")
             first = breaker_of.setdefault(frtu, eid)
             if first != eid:
                 raise DuplicateIdError(

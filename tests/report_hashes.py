@@ -25,10 +25,11 @@ from gridsleuth.errors import GridSleuthError  # noqa: E402
 SEEDS = range(401, 411)
 
 
-def documents():
+def documents(seeds=SEEDS):
+    """Each report's document, in the order the module docstring gives."""
     workloads = (episodes.LocalizeWorkload(lambda seed: inputs.mesh_episodes(seed, 200)),
                  episodes.LocalizeWorkload(inputs.chain_episodes))
-    for seed in SEEDS:
+    for seed in seeds:
         for workload in workloads:
             for prep in workload.prepare(seed):
                 result = workload.run(prep)

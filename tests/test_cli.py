@@ -741,6 +741,58 @@ def test_exit_input_on_a_repeated_meter_id(tmp_path, capsys, command):
     assert "meter_id 'M-05' is used by more than one meter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("frtu", [5, "", True, ["FRTU_1"]])
+def test_exit_input_on_a_breaker_frtu_that_is_not_a_name(tmp_path, capsys, frtu):
+    # A number would key a coverage next to FRTU_2 and fail to sort with it
+    # mid-localization; an empty name would head a column of the history.
+    spec = _ct8_spec()
+    spec["edges"][0]["frtu"] = frtu
+    path = _write_json(tmp_path / "frtu_name.json", spec)
+    assert main(["topo", "validate", path]) == 1
+    assert f'edge 1 "frtu" must be a non-empty string, got {frtu!r}' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge, kind", [(2, "sectionalizer"), (4, "tie")])
+def test_exit_invariant_on_an_frtu_off_a_breaker(tmp_path, capsys, edge, kind):
+    # Only a breaker's FRTU is ever read; a name elsewhere would be ignored.
+    spec = _ct8_spec()
+    spec["edges"][edge - 1]["frtu"] = "FRTU_X"
+    path = _write_json(tmp_path / "frtu_off_breaker.json", spec)
+    assert main(["topo", "validate", path]) == 2
+    assert (f"edge {edge} is a {kind} and cannot carry an FRTU"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["sim", "run"], ["localize", "run"], ["score"]])
+@pytest.mark.parametrize("meter_id", [5, "", None, True])
+def test_exit_input_on_a_meter_id_that_is_not_a_name(tmp_path, capsys, command, meter_id):
+    # The history names a meter by its id as text, so score would not find
+    # an integer id it wrote; reject it before anything is simulated.
+    meters = _ct8_meters({"node": 5, "mode": "scale", "value": 0.0})
+    meters[3]["meter_id"] = meter_id
+    scn = _write_json(tmp_path / "s.json", _scenario(CT8, meters))
+    history = tmp_path / "h.csv"
+    history.write_text("interval,meter_id,node,reported_kwh\n")
+    extra = {"sim": ["--out", str(history)], "localize": ["--out-dir", str(tmp_path)],
+             "score": ["--history", str(history), "--node", "5",
+                       "--out", str(tmp_path / "scores.csv")]}[command[0]]
+    assert main([*command, scn, *extra]) == 1
+    assert (f"meter_id must be a non-empty string, got {meter_id!r}"
+            in capsys.readouterr().err)
+
+
+def test_exit_input_on_a_number_and_a_string_meter_id_that_print_alike(tmp_path, capsys):
+    # Ids 5 and "5" pass a duplicate check on JSON values, but both write
+    # "5" to the history, where score would read one meter against the
+    # other's base load.
+    meters = _ct8_meters()
+    meters[0]["meter_id"], meters[1]["meter_id"] = 5, "5"
+    scn = _write_json(tmp_path / "s.json", _scenario(CT8, meters))
+    assert main(["sim", "run", scn, "--out", str(tmp_path / "h.csv")]) == 1
+    assert "meter_id must be a non-empty string, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_exit_invariant_on_zero_aggregate(tmp_path, capsys):
     meters = [
         {"meter_id": "M-05", "node": 5, "base_load_kwh": 0.0,

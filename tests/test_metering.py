@@ -235,13 +235,6 @@ def test_oracle_reports_per_frtu_alarms():
     assert shifted == {"FRTU_1": True, "FRTU_2": False}
 
 
-def test_oracle_caches_per_state():
-    t = ct8()
-    oracle = SimulationOracle(t, meters_flat(), seed=7)
-    first = oracle(t.normal_states())
-    assert oracle(t.normal_states()) is first
-
-
 OUT_OF_RANGE = [
     ("noise", 3.0), ("noise", -0.1), ("noise", float("nan")),
     ("loss_factor", -0.5), ("loss_factor", float("inf")),

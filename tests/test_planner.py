@@ -247,6 +247,37 @@ def test_island_at_tie_endpoint_restores_to_unblock():
         assert validate_operating_state(t, states_from_string(bits, t)).ok
 
 
+def states_read(report, initial):
+    """Each distinct switch state at which the report took a reading: the
+    starting board, then the state after each check's step."""
+    bits = list(initial)
+    after = {0: initial}
+    for action in report.actions:
+        bits[action.edge - 1] = "1" if action.action == CLOSE else "0"
+        after[action.step] = "".join(bits)
+    return {initial} | {after[check.after_step] for check in report.checks}
+
+
+@pytest.mark.parametrize("case", [{5}, {6}, {7}, {5, 7}] + list(range(12)), ids=str)
+def test_oracle_asked_once_per_state_read(case):
+    # The planner keeps each state's reply on its visit, so a state where
+    # it reads several FRTUs, or that it lands on twice, is asked about once.
+    if isinstance(case, set):
+        t, oracle = ct8_oracle(case)
+        alarm_edge = 7
+    else:
+        ep = make_episode(case)
+        t, oracle, alarm_edge = ep.topology, ep.oracle(), ep.alarm_edge
+    asked = []
+
+    def counting(states):
+        asked.append(states_to_string(states))
+        return oracle(states)
+
+    report = localize(t, alarm_edge, counting)
+    assert sorted(asked) == sorted(states_read(report, states_to_string(t.normal_states())))
+
+
 def _budget(report, initial_suspects, n_islands):
     spent = len(report.checks)
     allowed = n_islands + math.ceil(math.log2(max(len(initial_suspects), 2))) + 2

@@ -16,6 +16,7 @@ from gridsleuth.errors import (
     InvalidIdError,
     NonRadialNormalStateError,
     SelfLoopError,
+    TopologyError,
 )
 from gridsleuth.networks import CT8_SPEC, ct8
 from gridsleuth.topology import (
@@ -123,6 +124,28 @@ def test_explicit_frtu_colliding_with_a_generated_one_rejected():
     with pytest.raises(DuplicateIdError,
                        match="^FRTU FRTU_5 names both breaker edges 1 and 5$"):
         build_topology(two_feeder_spec("FRTU_5", None))
+
+
+@pytest.mark.parametrize("frtu", [5, "", False, {"name": "F"}])
+def test_breaker_frtu_must_be_a_non_empty_string(frtu):
+    with pytest.raises(ValueError, match=re.escape(
+            f'edge 1 "frtu" must be a non-empty string, got {frtu!r}')):
+        build_topology(two_feeder_spec(frtu, None))
+
+
+@pytest.mark.parametrize("edge, kind", [(2, "sectionalizer"), (3, "tie")])
+def test_frtu_only_on_a_breaker(edge, kind):
+    spec = two_feeder_spec(None, None)
+    spec["edges"][edge - 1]["frtu"] = "F"
+    with pytest.raises(TopologyError, match=f"^edge {edge} is a {kind} and cannot carry an FRTU"):
+        build_topology(spec)
+
+
+def test_null_frtu_reads_as_absent():
+    spec = two_feeder_spec(None, None)
+    for edge in spec["edges"]:
+        edge["frtu"] = None
+    assert build_topology(spec).frtu_map == {1: "FRTU_1", 5: "FRTU_5"}
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
