@@ -22,7 +22,7 @@ import numpy as np
 
 from .energize import energized_nodes, frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
-from .topology import Topology, int_field, load_topology
+from .topology import Topology, enum_field, int_field, load_topology
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -42,10 +42,12 @@ class Tamper:
     value: float = 0.0
 
     @staticmethod
-    def from_dict(d: Mapping, name: str = "tamper value") -> "Tamper":
-        """Read a tamper; a negative or non-finite value raises ``ValueError``
-        naming it as ``name``, since a meter never reports negative energy."""
-        return Tamper(kind=TamperKind(d["mode"]), value=_in_range(name, d.get("value", 0.0)))
+    def from_dict(d: Mapping, owner: str = "tamper") -> "Tamper":
+        """Read a tamper. An unknown mode, or a negative or non-finite value
+        (a meter never reports negative energy), raises ``ValueError``
+        naming the field as ``owner``'s mode or value."""
+        return Tamper(kind=enum_field(f"{owner} mode", TamperKind, d["mode"]),
+                      value=_in_range(f"{owner} value", d.get("value", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,12 @@ class Scenario:
 
 
 def _in_range(name: str, value, high: float = math.inf) -> float:
-    """``value`` as a float, which must be finite and within [0, high]."""
+    """``value`` as a float, which must be finite and within [0, high].
+
+    A boolean raises rather than reading as 0 or 1.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a finite number in [0, {high}], got {value!r}")
     x = float(value)
     if not (math.isfinite(x) and 0.0 <= x <= high):
         raise ValueError(f"{name} must be a finite number in [0, {high}], got {x}")
@@ -306,8 +313,9 @@ def load_scenario(path: str | Path) -> Scenario:
     nonnegative, and so must tamper values and the seed; every number must
     be finite (``json`` reads ``NaN``); the seed, interval count, alarm
     edge, ground truth and meter nodes must be integers, not booleans or
-    numbers with a fractional part; and each ``meter_id`` must be a
-    non-empty string that no other meter uses.
+    numbers with a fractional part; each ``meter_id`` must be a non-empty
+    string that no other meter uses; and the ground truth must list loads
+    of the topology, each once.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -319,7 +327,7 @@ def load_scenario(path: str | Path) -> Scenario:
             node=int_field(f"meter {m['meter_id']} node", m["node"]),
             base_load_kwh=_in_range(
                 f"meter {m['meter_id']} base_load_kwh", m["base_load_kwh"]),
-            tamper=(Tamper.from_dict(m["tamper"], f"meter {m['meter_id']} tamper value")
+            tamper=(Tamper.from_dict(m["tamper"], f"meter {m['meter_id']} tamper")
                     if m.get("tamper") else None),
         )
         for m in raw["meters"]
@@ -332,6 +340,12 @@ def load_scenario(path: str | Path) -> Scenario:
         if meter.meter_id in seen:
             raise ValueError(f"meter_id {meter.meter_id!r} is used by more than one meter")
         seen.add(meter.meter_id)
+    truth = tuple(int_field("ground_truth", n) for n in raw.get("ground_truth", ()))
+    for node in truth:
+        if node not in topo.load_ids:
+            raise ValueError(f"ground_truth node {node} is not a load of the topology")
+        if truth.count(node) > 1:
+            raise ValueError(f"ground_truth lists node {node} more than once")
     return Scenario(
         topology=topo,
         meters=meters,
@@ -342,7 +356,7 @@ def load_scenario(path: str | Path) -> Scenario:
         intervals=int_field("intervals", raw.get("intervals", 1)),
         alarm_edge=(int_field("alarm_edge", raw["alarm_edge"])
                     if raw.get("alarm_edge") is not None else None),
-        ground_truth=tuple(int_field("ground_truth", n) for n in raw.get("ground_truth", ())),
+        ground_truth=truth,
     )
 
 

@@ -10,9 +10,12 @@ read in, and the alarm bit. Readings go on one append-only log, and one
 pure function, ``decode``, reads it with the DD rule of group testing: a
 clear reading marks its whole coverage clean, and an alarm stays open
 until its coverage holds a node resolved as tampered; its suspects are the
-covered nodes not yet clean. The planner resolves an open alarm down to
-one suspect. An alarm with no suspect left, or a clear reading over a
-resolved node, means the telemetry contradicts itself.
+covered nodes not yet clean. The log is decoded once after each batch of
+reads (the board, a check, a resolved node's sweep, a fold-back), and the
+planner's loop works from those open alarms: it resolves each alarm left
+with one suspect, then splits the newest. An alarm with no suspect left,
+or a clear reading over a resolved node, means the telemetry contradicts
+itself.
 
 Each distinct switch state is labelled once, when it is first validated,
 and the oracle is asked about it at most once, on its first read: its
@@ -215,20 +218,11 @@ def restore_island_ops(island: IslandRecord) -> tuple[tuple[str, int], ...]:
     )
 
 
-def _alarm_bit(reply: Mapping[str, bool], frtu: str, key: str) -> bool:
-    """One FRTU's alarm bit from an oracle reply; a missing FRTU is an error."""
-    try:
-        return bool(reply[frtu])
-    except KeyError:
-        raise OracleInconsistentError(
-            f"oracle reply for switch states {key} has no reading for {frtu}") from None
-
-
 Reading = tuple[str, frozenset[int], bool]  # (FRTU, coverage, alarm)
+Alarm = tuple[str, frozenset[int]]  # (FRTU, suspects)
 
 
-def decode(readings: Iterable[Reading],
-           tampered: AbstractSet[int]) -> list[tuple[str, frozenset[int]]]:
+def decode(readings: Iterable[Reading], tampered: AbstractSet[int]) -> list[Alarm]:
     """The alarms that ``tampered`` leaves open, oldest first, with their suspects.
 
     One pass over the log in order: a clear reading cleans its coverage,
@@ -332,61 +326,59 @@ class _Planner:
 
     # --- evidence ------------------------------------------------------
 
-    def consult(self, frtu: str) -> None:
-        """Read one FRTU at the current states; only a fresh read is a check."""
+    def read(self, frtu: str) -> bool:
+        """Read one FRTU here, asking the oracle once per state; append it to ``readings``."""
         visit = self.visit
-        if frtu in visit.reads:
-            return
         if visit.reply is None:
             visit.reply = self.oracle(self.states)
-        alarm = _alarm_bit(visit.reply, frtu, self.committed[-1])
+        try:
+            alarm = bool(visit.reply[frtu])
+        except KeyError:
+            raise OracleInconsistentError(
+                f"oracle reply for switch states {self.committed[-1]} "
+                f"has no reading for {frtu}") from None
         visit.reads[frtu] = alarm
+        self.readings.append((frtu, visit.coverage[frtu], alarm))
+        return alarm
+
+    def consult(self, frtu: str) -> None:
+        """Read one FRTU at the current states; only a fresh read is a check."""
+        if frtu in self.visit.reads:
+            return
+        alarm = self.read(frtu)
         self.checks.append(
             FrtuCheck(after_step=len(self.actions), frtu=frtu, alarm=alarm))
         self.log.append(
             f"check {frtu} after step {len(self.actions)}: "
             f"{'ALARM' if alarm else 'clear'}")
-        self.readings.append((frtu, visit.coverage[frtu], alarm))
 
-    def all_suspects(self) -> set[int]:
-        """Resolved nodes plus every node an open alarm still points at."""
-        return set(self.tampered).union(
-            *(nodes for _, nodes in decode(self.readings, self.tampered)))
-
-    def snapshot(self) -> None:
-        snap = tuple(sorted(self.all_suspects()))
+    def snapshot(self, open_alarms: Sequence[Alarm]) -> None:
+        """Record the suspects: resolved nodes plus every node ``open_alarms`` point at."""
+        snap = tuple(sorted(self.tampered.union(*(nodes for _, nodes in open_alarms))))
         if not self.history or self.history[-1] != snap:
             self.history.append(snap)
 
-    def next_alarm(self) -> tuple[str, frozenset[int]] | None:
-        """The newest open alarm, once every alarm left with one suspect is resolved.
+    def decode_log(self) -> list[Alarm]:
+        """Decode the log after a batch of reads, record its suspects, return its open alarms."""
+        open_alarms = decode(self.readings, self.tampered)
+        self.snapshot(open_alarms)
+        return open_alarms
 
-        None when every alarm is explained; raises when one has no suspect left.
-        """
-        while True:
-            open_alarms = decode(self.readings, self.tampered)
-            for frtu, nodes in open_alarms:
-                if not nodes:
-                    raise OracleInconsistentError(
-                        f"alarm from {frtu} has no candidate left: every "
-                        f"covered node was exonerated")
-                if len(nodes) == 1:
-                    self.resolve(next(iter(nodes)))
-                    break
-            else:
-                return open_alarms[-1] if open_alarms else None
-
-    def resolve(self, node: int) -> None:
-        """Mark one node tampered, then read every FRTU here for leftover alarms.
+    def resolve(self, node: int, open_alarms: Sequence[Alarm]) -> list[Alarm]:
+        """Mark one suspect of ``open_alarms`` tampered, then read every FRTU here.
 
         That catches a second tampered feeder; reads taken here are replayed.
+        The suspects before the reads need no decode: ``node`` is a suspect,
+        so no clear reading covers it, and the log decoded with it resolved
+        leaves open exactly the alarms of ``open_alarms`` that do not suspect
+        it. Returns the open alarms after the reads.
         """
         self.tampered.add(node)
         self.log.append(f"resolved: node {node} is tampered")
-        self.snapshot()
+        self.snapshot([(frtu, nodes) for frtu, nodes in open_alarms if node not in nodes])
         for frtu in sorted(self.visit.coverage):
             self.consult(frtu)
-        self.snapshot()
+        return self.decode_log()
 
     # --- check and move selection ------------------------------------
 
@@ -541,7 +533,6 @@ class _Planner:
             raise InfeasiblePlanError(
                 f"restored island {sorted(island.nodes)} is not covered by any FRTU")
         self.consult(covering[0])
-        self.snapshot()
         return True
 
     # --- main loop ----------------------------------------------------
@@ -572,9 +563,8 @@ class _Planner:
         # Continuous telemetry: every FRTU's alarm bit is already on the
         # operator's board before any switching, so this sweep is free.
         first = self.visit
-        first.reply = self.oracle(self.states)
         for frtu in sorted(first.coverage):
-            first.reads[frtu] = _alarm_bit(first.reply, frtu, self.committed[0])
+            self.read(frtu)
         if not first.reads.get(self.alarm_frtu, False):
             # Telemetry is quiet on the requested feeder: nothing to chase.
             self.log.append(
@@ -589,10 +579,8 @@ class _Planner:
         # The suspect set starts as the alarmed FRTU's coverage: exactly
         # the customers it meters. DG-island loads are in no coverage.
         self.history.append(tuple(sorted(first.coverage[self.alarm_frtu])))
-        self.readings = [(frtu, first.coverage[frtu], first.reads[frtu])
-                         for frtu in sorted(first.coverage)]
         # A contradiction on the board is named before any switching.
-        decode(self.readings, self.tampered)
+        open_alarms = decode(self.readings, self.tampered)
 
         plan = isolate_dg_islands(self.topo, self.states)
         self.islands = list(plan.islands)
@@ -602,16 +590,25 @@ class _Planner:
                 + ", ".join(f"{sorted(i.nodes)}" for i in plan.islands))
             self.commit_group(plan.ops)
 
+        # ``open_alarms`` is always the decoded log: it is decoded again
+        # after each batch of reads, and a move reads nothing.
         guard = 4 * (self.topo.n_nodes + self.topo.n_edges) + 16
         for _ in range(guard):
-            alarm = self.next_alarm()
-            if alarm is None:
-                break
-            origin, suspects = alarm
+            # Resolve the oldest alarm left with one suspect until none is.
+            while single := next((a for a in open_alarms if len(a[1]) <= 1), None):
+                frtu, nodes = single
+                if not nodes:
+                    raise OracleInconsistentError(
+                        f"alarm from {frtu} has no candidate left: every "
+                        f"covered node was exonerated")
+                open_alarms = self.resolve(next(iter(nodes)), open_alarms)
+            if not open_alarms:
+                break  # every alarm is explained
+            origin, suspects = open_alarms[-1]
             frtu = self.best_check(origin, suspects)
             if frtu is not None:
                 self.consult(frtu)
-                self.snapshot()
+                open_alarms = self.decode_log()
                 continue
             move = self.find_move(suspects)
             if move is not None:
@@ -621,6 +618,7 @@ class _Planner:
                 self.commit_group(((CLOSE, to_close), (OPEN, to_open)))
                 continue
             if self.restore_and_check():
+                open_alarms = self.decode_log()
                 continue
             self.irreducible = True
             self.log.append(
@@ -630,9 +628,10 @@ class _Planner:
         else:
             raise InfeasiblePlanError("localization failed to converge")
 
-        final = self.all_suspects() if self.irreducible else set(self.tampered)
-        self.snapshot()
-        self.log.append(f"verdict: tampered node(s) {sorted(final)}")
+        # The resolved nodes, and the open alarms' suspects if irreducible.
+        self.snapshot(open_alarms)
+        final = self.history[-1]
+        self.log.append(f"verdict: tampered node(s) {list(final)}")
         return self.report(final)
 
 

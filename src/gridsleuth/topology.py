@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -229,6 +229,20 @@ def int_field(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from exc
 
 
+E = TypeVar("E", bound=Enum)
+
+
+def enum_field(name: str, kind: type[E], value) -> E:
+    """``value`` as the member of ``kind`` that the input field ``name`` must
+    hold; any other value raises ``ValueError`` naming the field and the
+    allowed values."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in kind)
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
+
+
 def load_topology(path: str | Path) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         return build_topology(json.load(fh))
@@ -246,7 +260,7 @@ def _parse_nodes(items: Iterable[Mapping]) -> tuple[Node, ...]:
                 f"node ids must be consecutive from 1 in listed order; "
                 f"position {pos} has id {nid}")
         seen.add(nid)
-        kind = NodeKind(item.get("kind", "load"))
+        kind = enum_field(f'node {nid} "kind"', NodeKind, item.get("kind", "load"))
         has_dg = item.get("dg", False)
         if type(has_dg) is not bool:
             raise ValueError(f"node {nid} \"dg\" must be true or false, got {has_dg!r}")
@@ -284,7 +298,7 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
         if pair in seen_pairs:
             raise DuplicateIdError(f"duplicate edge between nodes {u} and {v}")
         seen_pairs.add(pair)
-        kind = EdgeKind(item.get("kind", "sectionalizer"))
+        kind = enum_field(f'edge {eid} "kind"', EdgeKind, item.get("kind", "sectionalizer"))
         frtu = item.get("frtu")
         if kind is not EdgeKind.BREAKER and frtu is not None:
             raise TopologyError(f"edge {eid} is a {kind.value} and cannot carry an FRTU")

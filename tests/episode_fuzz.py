@@ -7,7 +7,9 @@ customer placed so the island cut is always re-feedable, and exactly one
 tampered meter reporting zero.
 
 ``make_mesh`` builds a 3-4 feeder mesh: a random tree per feeder, joined
-by normally-open ties, with DG customers on leaves.
+by normally-open ties, with DG customers on leaves, and ``make_mesh_case``
+meters one with one or two dead meters. ``two_feeder_chain`` builds two
+equal chains joined end to end by one tie.
 """
 
 from dataclasses import dataclass
@@ -161,4 +163,45 @@ def make_mesh(seed: int) -> Topology:
     for node in nodes:
         if node["id"] in dgs:
             node["dg"] = True
+    return build_topology({"nodes": nodes, "edges": edges})
+
+
+def make_mesh_case(seed: int) -> tuple[Topology, int, SimulationOracle]:
+    """``make_mesh(seed)`` with its alarm edge and simulation oracle.
+
+    Every load has one meter of ``BASE_LOAD`` kWh, and one or two of them
+    report zero. The alarm is the breaker that covers the lowest dead
+    node at the normal state.
+    """
+    topo = make_mesh(seed)
+    rng = np.random.default_rng([983, seed])
+    loads = sorted(topo.load_ids)
+    dead = sorted(int(n) for n in rng.choice(loads, size=int(rng.integers(1, 3)),
+                                             replace=False))
+    meters = [
+        CustomerMeter(f"M-{n:02d}", n, BASE_LOAD,
+                      Tamper(TamperKind.SCALE, 0.0) if n in dead else None)
+        for n in loads
+    ]
+    coverage = topo.tree(topo.normal_states()).coverage
+    frtu = next(f for f, nodes in coverage.items() if dead[0] in nodes)
+    oracle = SimulationOracle(topo, meters, seed, threshold=0.1 / len(meters))
+    return topo, topo.frtu_edges[frtu], oracle
+
+
+def two_feeder_chain(loads_per_feeder: int) -> Topology:
+    """Two chains of ``loads_per_feeder`` loads, each fed by its own breaker
+    and joined at their far ends by one normally-open tie."""
+    a = loads_per_feeder
+    n = 2 * a + 2
+    nodes = [{"id": 1, "kind": "source"}]
+    nodes += [{"id": i, "kind": "load"} for i in range(2, n)]
+    nodes += [{"id": n, "kind": "source"}]
+    edges = [{"id": 1, "kind": "breaker", "from": 1, "to": 2}]
+    for i in range(2, a + 1):
+        edges.append({"id": i, "kind": "sectionalizer", "from": i, "to": i + 1})
+    edges.append({"id": a + 1, "kind": "tie", "from": a + 1, "to": a + 2})
+    for i in range(a + 2, 2 * a + 1):
+        edges.append({"id": i, "kind": "sectionalizer", "from": i, "to": i + 1})
+    edges.append({"id": 2 * a + 1, "kind": "breaker", "from": 2 * a + 1, "to": n})
     return build_topology({"nodes": nodes, "edges": edges})

@@ -543,6 +543,12 @@ def _scenario_file(tmp_path, **overrides):
     ({"meter": {"base_load_kwh": -1.0}}, "base_load_kwh"),
     ({"meter": {"base_load_kwh": float("nan")}}, "base_load_kwh"),
     ({"meter": {"tamper": {"mode": "fixed", "value": float("inf")}}}, "tamper value"),
+    # A JSON boolean is not a number: true would read as 1.0, false as 0.0.
+    ({"noise": True}, "noise"),
+    ({"loss_factor": False}, "loss_factor"),
+    ({"threshold": True}, "threshold"),
+    ({"meter": {"base_load_kwh": True}}, "base_load_kwh"),
+    ({"meter": {"tamper": {"mode": "fixed", "value": True}}}, "tamper value"),
 ])
 def test_load_scenario_rejects_non_finite_and_out_of_range_numbers(
         tmp_path, capsys, overrides, message):
@@ -613,6 +619,61 @@ def test_integer_fields_reject_booleans_and_fractions(tmp_path, capsys, field, p
     assert cli.main(["sim", "run", str(path), "--out", str(tmp_path / "h.csv")]) == 1
     assert f"{field} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
+
+
+# (field named in the error, its allowed values, how to put an unknown value
+# in the scenario or topology)
+ENUM_FIELDS = [
+    ('node 3 "kind"', "'source', 'load'",
+     lambda doc, topo: topo["nodes"][2].update(kind="loadx")),
+    ('edge 3 "kind"', "'breaker', 'sectionalizer', 'tie'",
+     lambda doc, topo: topo["edges"][2].update(kind="switch")),
+    ("meter M-05 tamper mode", "'scale', 'fixed', 'outage'",
+     lambda doc, topo: doc["meters"][3].update(tamper={"mode": "zero"})),
+]
+
+
+@pytest.mark.parametrize("field, allowed, put", ENUM_FIELDS, ids=[f for f, _, _ in ENUM_FIELDS])
+def test_unknown_kinds_and_modes_name_the_field_and_the_allowed_values(
+        tmp_path, capsys, field, allowed, put):
+    doc = json.loads((SCENARIO_DIR / "tamper_node5.json").read_text())
+    topo = json.loads((SCENARIO_DIR / "ct8.json").read_text())
+    put(doc, topo)
+    (tmp_path / "topo.json").write_text(json.dumps(topo))
+    doc["topology"] = "topo.json"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    message = f"{field} must be one of {allowed}, got "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_scenario(path)
+    assert cli.main(["sim", "run", str(path), "--out", str(tmp_path / "h.csv")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_tamper_from_dict_names_its_owner():
+    with pytest.raises(ValueError, match="^meter M-05 tamper mode must be one of "
+                                         "'scale', 'fixed', 'outage', got 'zero'$"):
+        Tamper.from_dict({"mode": "zero"}, "meter M-05 tamper")
+    with pytest.raises(ValueError, match=r"^tamper value must be a finite number"):
+        Tamper.from_dict({"mode": "scale", "value": -1.0})
+    assert Tamper.from_dict({"mode": "fixed", "value": 2}) == Tamper(TamperKind.FIXED, 2.0)
+
+
+@pytest.mark.parametrize("truth, message", [
+    ([5, 5], "ground_truth lists node 5 more than once"),
+    ([99], "ground_truth node 99 is not a load of the topology"),
+    ([1], "ground_truth node 1 is not a load of the topology"),
+])
+def test_ground_truth_must_list_loads_of_the_topology_once(tmp_path, capsys, truth, message):
+    # Each was a verdict mismatch (exit 2) under --check, not malformed input.
+    path = _scenario_file(tmp_path, ground_truth=truth)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_scenario(path)
+    out_dir = tmp_path / "loc"
+    assert cli.main(["localize", "run", str(path), "--out-dir", str(out_dir), "--check"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _as_floats(doc):

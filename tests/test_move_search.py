@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from episode_fuzz import make_mesh
+from episode_fuzz import make_mesh, two_feeder_chain
 from gridsleuth import energize, metering, planner, topology
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
@@ -235,22 +235,6 @@ def test_frtu_coverage_on_every_vector_with_loads_tied_to_a_source():
         states = np.array([(bits >> j) & 1 for j in range(topo.n_edges)], dtype=np.uint8)
         assert (frtu_coverage(topo, states) == coverage_by_definition(topo, states)
                 ), states_to_string(states)
-
-
-def two_feeder_chain(loads_per_feeder):
-    a = loads_per_feeder
-    n = 2 * a + 2
-    nodes = [{"id": 1, "kind": "source"}]
-    nodes += [{"id": i, "kind": "load"} for i in range(2, n)]
-    nodes += [{"id": n, "kind": "source"}]
-    edges = [{"id": 1, "kind": "breaker", "from": 1, "to": 2}]
-    for i in range(2, a + 1):
-        edges.append({"id": i, "kind": "sectionalizer", "from": i, "to": i + 1})
-    edges.append({"id": a + 1, "kind": "tie", "from": a + 1, "to": a + 2})
-    for i in range(a + 2, 2 * a + 1):
-        edges.append({"id": i, "kind": "sectionalizer", "from": i, "to": i + 1})
-    edges.append({"id": 2 * a + 1, "kind": "breaker", "from": 2 * a + 1, "to": n})
-    return build_topology({"nodes": nodes, "edges": edges})
 
 
 def test_call_counts_on_thousand_node_chain(monkeypatch):

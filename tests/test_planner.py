@@ -8,7 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from episode_fuzz import make_episode, make_mesh
+from episode_fuzz import make_episode, make_mesh, make_mesh_case, two_feeder_chain
+from gridsleuth import planner
 from gridsleuth.errors import (
     InfeasibleIsolationError,
     InfeasiblePlanError,
@@ -377,6 +378,77 @@ def test_decode_keeps_an_alarm_emptied_by_a_later_clear_reading():
     # a contradiction; an alarm emptied later is left for the caller.
     log = [("A", cov(1, 2), True), ("B", cov(1, 2, 3), False)]
     assert decode(log, set()) == [("A", cov())]
+
+
+def assert_resolving_drops_alarms(log, tampered):
+    """Resolve each suspect of ``decode(log, tampered)`` in turn and check
+    the open alarms lose exactly those that suspect it; returns how many."""
+    open_alarms = decode(log, tampered)
+    suspects = set().union(*(nodes for _, nodes in open_alarms))
+    for node in suspects:
+        assert decode(log, set(tampered) | {node}) == [
+            (frtu, nodes) for frtu, nodes in open_alarms if node not in nodes], (log, node)
+    return len(suspects)
+
+
+def test_resolving_a_suspect_drops_exactly_the_alarms_that_suspect_it():
+    # ``_Planner.resolve`` records the suspects left without decoding: a
+    # suspect lies under no clear reading, so resolving it cleans nothing
+    # more and closes just the alarms it is a suspect of.
+    log = [("A", cov(1, 2, 3), True), ("B", cov(3, 4), True), ("C", cov(1), False),
+           ("D", cov(4, 5, 6), True), ("E", cov(6), False)]
+    assert decode(log, set()) == [("A", cov(2, 3)), ("B", cov(3, 4)), ("D", cov(4, 5))]
+    assert assert_resolving_drops_alarms(log, set()) == 4
+    assert assert_resolving_drops_alarms(log, {2}) == 3
+    # A clean node is no suspect, and resolving it contradicts the log.
+    with pytest.raises(OracleInconsistentError, match="^C reads clear"):
+        decode(log, {1})
+
+
+def localize_recording_decodes(monkeypatch, topo, alarm_edge, oracle):
+    """``localize``'s report and each ``planner.decode`` call's (log, resolved nodes)."""
+    calls = []
+
+    def recording(readings, tampered):
+        calls.append((tuple(readings), frozenset(tampered)))
+        return decode(readings, tampered)
+
+    monkeypatch.setattr(planner, "decode", recording)
+    return localize(topo, alarm_edge, oracle), calls
+
+
+def chain_cases():
+    """A 122-node two-feeder chain with one dead meter, at four positions."""
+    topo = two_feeder_chain(60)
+    for dead, alarm_edge in ((10, 1), (45, 1), (70, 121), (115, 121)):
+        meters = [CustomerMeter(f"M-{n:03d}", n, 1.0,
+                                Tamper(TamperKind.SCALE, 0.0) if n == dead else None)
+                  for n in sorted(topo.load_ids)]
+        yield topo, alarm_edge, SimulationOracle(topo, meters, 11, threshold=0.1 / len(meters))
+
+
+def test_log_is_decoded_once_per_batch_of_reads(monkeypatch):
+    # One decode for the board, then one after each batch of reads: a
+    # check, a resolved node's sweep, a fold-back. A move reads nothing.
+    # Decoding per snapshot and per request for the next alarm made about
+    # three times as many.
+    for case, (topo, alarm_edge, oracle) in enumerate(
+            [make_mesh_case(seed) for seed in range(100)] + list(chain_cases())):
+        report, decoded = localize_recording_decodes(monkeypatch, topo, alarm_edge, oracle)
+        resolved = sum(line.startswith("resolved: ") for line in report.log)
+        restored = sum(island.restored for island in report.islands)
+        assert len(decoded) <= len(report.checks) + resolved + restored + 1, case
+
+
+def test_resolving_drops_alarms_on_logs_from_fuzzed_runs(monkeypatch):
+    cases = ([make_mesh_case(seed) for seed in range(40)]
+             + [(ep.topology, ep.alarm_edge, ep.oracle()) for ep in map(make_episode, range(40))])
+    suspects = 0
+    for topo, alarm_edge, oracle in cases:
+        _, decoded = localize_recording_decodes(monkeypatch, topo, alarm_edge, oracle)
+        for log, tampered in decoded:
+            suspects += assert_resolving_drops_alarms(log, tampered)
+    assert suspects > 1000
 
 
 # SHA-256 of the 600 lying-oracle outcomes below, newline-joined: each the

@@ -20,12 +20,9 @@ and explains in CHANGES.md which reports changed and why.
 import hashlib
 import json
 
-import numpy as np
-
 import report_hashes
-from episode_fuzz import BASE_LOAD, make_episode, make_mesh
+from episode_fuzz import make_episode, make_mesh_case
 from gridsleuth.errors import GridSleuthError
-from gridsleuth.metering import CustomerMeter, SimulationOracle, Tamper, TamperKind
 from gridsleuth.planner import localize
 
 SEEDS = range(300)
@@ -46,27 +43,10 @@ def report_digest(seeds) -> str:
 
 
 def mesh_document(seed: int) -> bytes:
-    """One mesh episode's report JSON, or ``Type: message`` if it raises.
-
-    Every load has one meter of ``BASE_LOAD`` kWh, and one or two of them
-    report zero. The alarm is the breaker that covers the lowest dead
-    node at the normal state.
-    """
-    topo = make_mesh(seed)
-    rng = np.random.default_rng([983, seed])
-    loads = sorted(topo.load_ids)
-    dead = sorted(int(n) for n in rng.choice(loads, size=int(rng.integers(1, 3)),
-                                             replace=False))
-    meters = [
-        CustomerMeter(f"M-{n:02d}", n, BASE_LOAD,
-                      Tamper(TamperKind.SCALE, 0.0) if n in dead else None)
-        for n in loads
-    ]
-    coverage = topo.tree(topo.normal_states()).coverage
-    frtu = next(f for f, nodes in coverage.items() if dead[0] in nodes)
-    oracle = SimulationOracle(topo, meters, seed, threshold=0.1 / len(meters))
+    """One ``make_mesh_case`` report's JSON, or ``Type: message`` if it raises."""
+    topo, alarm_edge, oracle = make_mesh_case(seed)
     try:
-        report = localize(topo, topo.frtu_edges[frtu], oracle)
+        report = localize(topo, alarm_edge, oracle)
     except GridSleuthError as exc:
         return f"{type(exc).__name__}: {exc}".encode()
     return json.dumps(report.to_dict(), sort_keys=True).encode()
