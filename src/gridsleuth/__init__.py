@@ -28,6 +28,7 @@ from .metering import (
     TamperKind,
     detect,
     feeder_discrepancy,
+    frtu_alarms,
     load_scenario,
     simulate_interval,
     simulate_intervals,
@@ -73,6 +74,7 @@ __all__ = [
     "energized_from_incidence",
     "energized_nodes",
     "feeder_discrepancy",
+    "frtu_alarms",
     "frtu_coverage",
     "incidence_matrix",
     "load_scenario",

@@ -43,8 +43,7 @@ from .errors import (
 from .metering import (
     MeterInterval,
     SimulationOracle,
-    detect,
-    feeder_discrepancy,
+    frtu_alarms,
     load_scenario,
     seed_field,
     simulate_intervals,
@@ -227,7 +226,8 @@ def _history_text(interval: MeterInterval, prefixes: list[str]) -> str:
     for bit (every honest meter) reuses the true value's text, so only
     tampered values are formatted again.
     """
-    tails = [_csv_line(fr.frtu, f"{fr.aggregate_kwh:.6f}") for fr in interval.frtu_readings]
+    tails = [_csv_line(frtu, f"{aggregate:.6f}")
+             for frtu, aggregate in zip(interval.frtus, interval.aggregate_kwh)]
     tails.append(_csv_line("", ""))
     true_kwh, reported_kwh = interval.true_kwh, interval.reported_kwh
     true_text = [f"{x:.6f}" for x in true_kwh.tolist()]
@@ -271,10 +271,9 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         for interval in simulated:
             fh.write(_history_text(interval, prefixes))
 
-    alarmed = [
-        fr.frtu for fr in first.frtu_readings
-        if detect(feeder_discrepancy(first, fr.frtu), scenario.threshold)
-    ]
+    alarms = frtu_alarms(first.frtus, first.aggregate_kwh, first.reported_sum_kwh,
+                         scenario.threshold)
+    alarmed = [frtu for frtu, alarm in alarms.items() if alarm]
     print(f"wrote {intervals * len(scenario.meters)} rows ({intervals} intervals) to {out}")
     print("alarms at interval 0: " + (", ".join(alarmed) if alarmed else "none"))
     return EXIT_OK

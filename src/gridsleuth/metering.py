@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -22,7 +21,7 @@ import numpy as np
 
 from .energize import energized_nodes, frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
-from .topology import Topology, enum_field, int_field, load_topology
+from .topology import Topology, enum_field, field_error, int_field, item_name, load_topology
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -43,9 +42,11 @@ class Tamper:
 
     @staticmethod
     def from_dict(d: Mapping, owner: str = "tamper") -> "Tamper":
-        """Read a tamper. An unknown mode, or a negative or non-finite value
-        (a meter never reports negative energy), raises ``ValueError``
-        naming the field as ``owner``'s mode or value."""
+        """Read a tamper. A ``d`` that is not an object or has no mode, an
+        unknown mode, or a negative or non-finite value (a meter never
+        reports negative energy) raises ``ValueError`` naming ``owner``."""
+        if not (isinstance(d, Mapping) and "mode" in d):
+            raise field_error(d, owner, "mode")
         return Tamper(kind=enum_field(f"{owner} mode", TamperKind, d["mode"]),
                       value=_in_range(f"{owner} value", d.get("value", 0.0)))
 
@@ -58,55 +59,24 @@ class CustomerMeter:
     tamper: Tamper | None = None
 
 
-@dataclass(frozen=True)
-class MeterReading:
-    meter_id: str
-    node: int
-    true_kwh: float
-    reported_kwh: float | None
-
-
-@dataclass(frozen=True)
-class FrtuReading:
-    frtu: str
-    edge: int
-    aggregate_kwh: float
-    reported_sum_kwh: float
-    covered_nodes: frozenset[int]
-
-
 @dataclass(frozen=True, eq=False)
 class MeterInterval:
-    """One simulated interval, held as per-meter columns in meter order.
+    """One simulated interval: per-meter columns in meter order, and each
+    FRTU's aggregate and reported sum in ``frtus`` order (sorted by name).
 
     ``reported_kwh`` holds nothing meaningful where ``silenced`` is set.
-    ``frtu_index`` gives each meter's position in ``frtu_readings``, or -1
-    where no FRTU meters its node (a dark load or a DG island).
+    ``frtu_index`` gives each meter's position in ``frtus``, or -1 where no
+    FRTU meters its node (a dark load or a DG island).
     """
 
     index: int
-    meters: tuple[CustomerMeter, ...]
     true_kwh: np.ndarray
     reported_kwh: np.ndarray
     silenced: np.ndarray
     frtu_index: np.ndarray
-    frtu_readings: tuple[FrtuReading, ...]
-
-    @cached_property
-    def readings(self) -> tuple[MeterReading, ...]:
-        """The columns as one ``MeterReading`` per meter, built on first use."""
-        return tuple(
-            MeterReading(meter_id=m.meter_id, node=m.node, true_kwh=true_kwh,
-                         reported_kwh=None if silenced else reported)
-            for m, true_kwh, reported, silenced in zip(
-                self.meters, self.true_kwh.tolist(), self.reported_kwh.tolist(),
-                self.silenced.tolist()))
-
-    def frtu(self, name: str) -> FrtuReading:
-        for fr in self.frtu_readings:
-            if fr.frtu == name:
-                return fr
-        raise UnknownFrtuError(f"no FRTU named {name!r} in this interval")
+    frtus: tuple[str, ...]
+    aggregate_kwh: list[float]
+    reported_sum_kwh: list[float]
 
 
 def simulate_intervals(
@@ -153,8 +123,7 @@ def simulate_intervals(
     fixed, scale = is_kind[TamperKind.FIXED], is_kind[TamperKind.SCALE]
     silenced = is_kind[TamperKind.OUTAGE]
 
-    coverage = frtu_coverage(topo, states)
-    groups = _FrtuGroups(coverage, topo.n_nodes, nodes, silenced)
+    groups = _FrtuGroups(frtu_coverage(topo, states), topo.n_nodes, nodes, silenced)
     frtu_index = groups.bins - 1
     # Every interval shares these columns, so none may be written to.
     for column in (silenced, frtu_index):
@@ -172,15 +141,13 @@ def simulate_intervals(
         aggregate, reported_sum = groups.sums(true_kwh, reported, loss_factor)
         return MeterInterval(
             index=index,
-            meters=meters,
             true_kwh=true_kwh,
             reported_kwh=reported,
             silenced=silenced,
             frtu_index=frtu_index,
-            frtu_readings=tuple(
-                FrtuReading(frtu=frtu, edge=topo.frtu_edges[frtu], aggregate_kwh=agg,
-                            reported_sum_kwh=rep, covered_nodes=coverage[frtu])
-                for frtu, agg, rep in zip(groups.names, aggregate, reported_sum)),
+            frtus=groups.names,
+            aggregate_kwh=aggregate,
+            reported_sum_kwh=reported_sum,
         )
 
     return map(interval, indices)
@@ -201,7 +168,7 @@ def _meter_nodes(topo: Topology, meters: Sequence[CustomerMeter]) -> np.ndarray:
 class _FrtuGroups:
     """Meters grouped by the FRTU that meters their node under one state.
 
-    ``names`` lists the FRTUs in sorted order. ``bins`` gives each meter's
+    ``names`` holds the FRTUs in sorted order. ``bins`` gives each meter's
     bin: 1 plus its FRTU's position in ``names``, or 0 where no FRTU meters
     its node (a dark load or a DG island). Bin 0 also takes the silenced
     meters' reports, and no sum reads it.
@@ -209,7 +176,7 @@ class _FrtuGroups:
 
     def __init__(self, coverage: Mapping[str, frozenset[int]], n_nodes: int,
                  nodes: np.ndarray, silenced: np.ndarray) -> None:
-        self.names = names = sorted(coverage)
+        self.names = names = tuple(sorted(coverage))
         sizes = [len(coverage[frtu]) for frtu in names]
         covered = np.fromiter(chain.from_iterable(coverage[frtu] for frtu in names),
                               dtype=np.intp, count=sum(sizes))
@@ -253,8 +220,10 @@ def feeder_discrepancy(interval: MeterInterval, frtu: str) -> float:
     Zero aggregate with zero reports is a quiet feeder (gap 0); a nonzero
     report against a zero aggregate has no meaningful ratio and raises.
     """
-    fr = interval.frtu(frtu)
-    return _relative_gap(frtu, fr.aggregate_kwh, fr.reported_sum_kwh)
+    if frtu not in interval.frtus:
+        raise UnknownFrtuError(f"no FRTU named {frtu!r} in this interval")
+    i = interval.frtus.index(frtu)
+    return _relative_gap(frtu, interval.aggregate_kwh[i], interval.reported_sum_kwh[i])
 
 
 def _relative_gap(frtu: str, aggregate: float, reported_sum: float) -> float:
@@ -270,6 +239,14 @@ def _relative_gap(frtu: str, aggregate: float, reported_sum: float) -> float:
 def detect(ratio: float, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """Alarm rule: the gap must strictly exceed the threshold."""
     return ratio > threshold
+
+
+def frtu_alarms(frtus: Iterable[str], aggregate: Iterable[float],
+                reported_sum: Iterable[float], threshold: float) -> dict[str, bool]:
+    """The alarm rule, ``detect`` of ``feeder_discrepancy``'s gap, on each
+    FRTU's two sums; it raises where that gap does."""
+    return {frtu: detect(_relative_gap(frtu, agg, rep), threshold)
+            for frtu, agg, rep in zip(frtus, aggregate, reported_sum)}
 
 
 @dataclass(frozen=True)
@@ -315,31 +292,37 @@ def load_scenario(path: str | Path) -> Scenario:
     edge, ground truth and meter nodes must be integers, not booleans or
     numbers with a fractional part; each ``meter_id`` must be a non-empty
     string that no other meter uses; and the ground truth must list loads
-    of the topology, each once.
+    of the topology, each once. A document, meter or tamper that is not a
+    JSON object, or lacks a required field, raises ``ValueError`` naming it.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    topo = load_topology(path.parent / raw["topology"])
-    meters = tuple(
-        CustomerMeter(
-            meter_id=m["meter_id"],
-            node=int_field(f"meter {m['meter_id']} node", m["node"]),
-            base_load_kwh=_in_range(
-                f"meter {m['meter_id']} base_load_kwh", m["base_load_kwh"]),
-            tamper=(Tamper.from_dict(m["tamper"], f"meter {m['meter_id']} tamper")
-                    if m.get("tamper") else None),
-        )
-        for m in raw["meters"]
-    )
+    try:
+        topology, items, seed = raw["topology"], raw["meters"], raw["seed"]
+    except (KeyError, TypeError) as exc:
+        raise field_error(raw, f"scenario {path}", exc.args[0]) from None
+    topo = load_topology(path.parent / topology)
+    meters: list[CustomerMeter] = []
     seen: set[str] = set()
-    for meter in meters:
+    for pos, m in enumerate(items, start=1):
+        try:
+            meter_id, node, base_load_kwh = m["meter_id"], m["node"], m["base_load_kwh"]
+        except (KeyError, TypeError) as exc:
+            raise field_error(m, item_name("meter", pos, m, "meter_id"), exc.args[0]) from None
         # The history names a meter by its id as text: 5 and "5" would be one.
-        if not (isinstance(meter.meter_id, str) and meter.meter_id):
-            raise ValueError(f"meter_id must be a non-empty string, got {meter.meter_id!r}")
-        if meter.meter_id in seen:
-            raise ValueError(f"meter_id {meter.meter_id!r} is used by more than one meter")
-        seen.add(meter.meter_id)
+        if not (isinstance(meter_id, str) and meter_id):
+            raise ValueError(f"meter_id must be a non-empty string, got {meter_id!r}")
+        if meter_id in seen:
+            raise ValueError(f"meter_id {meter_id!r} is used by more than one meter")
+        seen.add(meter_id)
+        tamper = m.get("tamper")
+        meters.append(CustomerMeter(
+            meter_id=meter_id,
+            node=int_field(f"meter {meter_id} node", node),
+            base_load_kwh=_in_range(f"meter {meter_id} base_load_kwh", base_load_kwh),
+            tamper=Tamper.from_dict(tamper, f"meter {meter_id} tamper") if tamper else None,
+        ))
     truth = tuple(int_field("ground_truth", n) for n in raw.get("ground_truth", ()))
     for node in truth:
         if node not in topo.load_ids:
@@ -348,8 +331,8 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ValueError(f"ground_truth lists node {node} more than once")
     return Scenario(
         topology=topo,
-        meters=meters,
-        seed=seed_field("seed", raw["seed"]),
+        meters=tuple(meters),
+        seed=seed_field("seed", seed),
         noise=_in_range("noise", raw.get("noise", 0.0), 1.0),
         loss_factor=_in_range("loss_factor", raw.get("loss_factor", 0.0)),
         threshold=_in_range("threshold", raw.get("threshold", DEFAULT_THRESHOLD)),
@@ -369,13 +352,13 @@ class SimulationOracle:
     and keeps the reply, so nothing is cached here.
 
     Every read is of interval 0, simulated once, at the normal state, on
-    the first read. That state feeds every load
-    (``build_topology`` refuses a network where it does not), and a meter's
-    draw never depends on the switches, so the interval holds each meter's
-    true and reported kWh under any state where its node is covered: a
-    covered node hangs below a breaker in the fed component. Each read
-    only regroups those columns by its state's FRTU coverage, and its sums
-    equal a simulation at that state bit for bit.
+    the first read. That state feeds every load (``build_topology``
+    refuses a network where it does not), and a meter's draw never depends
+    on the switches, so the interval holds each meter's true and reported
+    kWh under any state where its node is covered: a covered node hangs
+    below a breaker in the fed component. Each read only regroups those
+    columns by its state's FRTU coverage, whose sums equal a simulation at
+    that state bit for bit, and answers ``frtu_alarms`` of them.
 
     The parameters are checked as ``load_scenario`` checks them: the seed
     is a non-negative integer, ``noise`` lies in [0, 1], and
@@ -416,7 +399,4 @@ class SimulationOracle:
                              interval.silenced)
         aggregate, reported_sum = groups.sums(
             interval.true_kwh, interval.reported_kwh, self.loss_factor)
-        return {
-            frtu: detect(_relative_gap(frtu, agg, rep), self.threshold)
-            for frtu, agg, rep in zip(groups.names, aggregate, reported_sum)
-        }
+        return frtu_alarms(groups.names, aggregate, reported_sum, self.threshold)

@@ -11,6 +11,7 @@ node/edge order (ids are 1-based, array positions 0-based).
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -205,6 +206,8 @@ def build_topology(spec: Mapping) -> Topology:
     non-empty string naming that breaker alone, since readings and
     coverages are keyed by FRTU; only a breaker may name one.
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"topology must be a JSON object, got {reprlib.repr(spec)}")
     nodes = _parse_nodes(spec.get("nodes", ()))
     edges = _parse_edges(spec.get("edges", ()), nodes)
     topo = Topology(nodes=nodes, edges=edges)
@@ -243,6 +246,23 @@ def enum_field(name: str, kind: type[E], value) -> E:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
 
 
+def field_error(value, owner: str, key: str) -> ValueError:
+    """The error for a field ``key`` that could not be read from ``value``,
+    the JSON value that ``owner`` names: either ``value`` is not an object,
+    or it lacks ``key``."""
+    if isinstance(value, Mapping):
+        return ValueError(f'{owner} is missing "{key}"')
+    return ValueError(f"{owner} must be a JSON object, got {reprlib.repr(value)}")
+
+
+def item_name(kind: str, pos: int, item, id_key: str = "id") -> str:
+    """How an error names ``item``, the ``pos``-th (from 1) ``kind`` of an
+    input list: by its ``id_key`` value, or by its position without one."""
+    if isinstance(item, Mapping) and id_key in item:
+        return f"{kind} {item[id_key]}"
+    return f"{kind} at position {pos}"
+
+
 def load_topology(path: str | Path) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         return build_topology(json.load(fh))
@@ -252,7 +272,10 @@ def _parse_nodes(items: Iterable[Mapping]) -> tuple[Node, ...]:
     nodes: list[Node] = []
     seen: set[int] = set()
     for pos, item in enumerate(items, start=1):
-        nid = int_field("node id", item["id"])
+        try:
+            nid = int_field("node id", item["id"])
+        except (KeyError, TypeError) as exc:
+            raise field_error(item, item_name("node", pos, item), exc.args[0]) from None
         if nid in seen:
             raise DuplicateIdError(f"duplicate node id {nid}")
         if nid != pos:
@@ -278,7 +301,11 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
     seen_pairs: set[frozenset[int]] = set()
     breaker_of: dict[str, int] = {}  # FRTU -> its breaker edge
     for pos, item in enumerate(items, start=1):
-        eid = int_field("edge id", item["id"])
+        try:
+            eid, u, v = item["id"], item["from"], item["to"]
+        except (KeyError, TypeError) as exc:
+            raise field_error(item, item_name("edge", pos, item), exc.args[0]) from None
+        eid = int_field("edge id", eid)
         if eid in seen:
             raise DuplicateIdError(f"duplicate edge id {eid}")
         if eid != pos:
@@ -286,8 +313,8 @@ def _parse_edges(items: Iterable[Mapping], nodes: tuple[Node, ...]) -> tuple[Edg
                 f"edge ids must be consecutive from 1 in listed order; "
                 f"position {pos} has id {eid}")
         seen.add(eid)
-        u = int_field(f"edge {eid} from", item["from"])
-        v = int_field(f"edge {eid} to", item["to"])
+        u = int_field(f"edge {eid} from", u)
+        v = int_field(f"edge {eid} to", v)
         if u == v:
             raise SelfLoopError(f"edge {eid} connects node {u} to itself")
         for endpoint in (u, v):

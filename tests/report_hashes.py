@@ -25,20 +25,27 @@ from gridsleuth.errors import GridSleuthError  # noqa: E402
 SEEDS = range(401, 411)
 
 
-def documents(seeds=SEEDS):
-    """Each report's document, in the order the module docstring gives."""
+def results(seeds=SEEDS):
+    """(prepared input, report or raised ``GridSleuthError``) of each
+    episode, in the order the module docstring gives."""
     workloads = (episodes.LocalizeWorkload(lambda seed: inputs.mesh_episodes(seed, 200)),
                  episodes.LocalizeWorkload(inputs.chain_episodes))
     for seed in seeds:
         for workload in workloads:
             for prep in workload.prepare(seed):
                 result = workload.run(prep)
-                if isinstance(result, GridSleuthError):
-                    yield f"{type(result).__name__}: {result}"
-                elif isinstance(result, Exception):
+                if isinstance(result, Exception) and not isinstance(result, GridSleuthError):
                     raise result
-                else:
-                    yield json.dumps(result.to_dict(), sort_keys=True)
+                yield prep, result
+
+
+def documents(seeds=SEEDS):
+    """Each report's document, in the order the module docstring gives."""
+    for _, result in results(seeds):
+        if isinstance(result, GridSleuthError):
+            yield f"{type(result).__name__}: {result}"
+        else:
+            yield json.dumps(result.to_dict(), sort_keys=True)
 
 
 def main() -> None:

@@ -12,6 +12,7 @@ import pytest
 
 from gridsleuth import cli
 from gridsleuth.cli import build_parser, main
+from gridsleuth.energize import frtu_coverage
 from gridsleuth.metering import CustomerMeter, Tamper, TamperKind, simulate_interval
 from gridsleuth.networks import ct8
 from gridsleuth.topology import adjacency_from_incidence, states_from_string
@@ -509,20 +510,21 @@ def test_score_rejects_a_non_positive_or_non_finite_deviation_threshold(
 
 # ------------------------------------------------------------- history CSV
 
-def reference_history_rows(interval):
-    """The row builder the column formatter replaced, one list per reading."""
-    node_frtu = {
-        node: fr.frtu for fr in interval.frtu_readings for node in fr.covered_nodes
-    }
-    frtu_kwh = {fr.frtu: fr.aggregate_kwh for fr in interval.frtu_readings}
-    for reading in interval.readings:
-        frtu = node_frtu.get(reading.node, "")
+def reference_history_rows(interval, meters, coverage):
+    """The row builder the column formatter replaced, one list per meter of
+    ``meters``; ``coverage`` is ``frtu_coverage`` at the simulated state."""
+    node_frtu = {node: frtu for frtu, covered in coverage.items() for node in covered}
+    frtu_kwh = dict(zip(interval.frtus, interval.aggregate_kwh))
+    for meter, true_kwh, reported_kwh, silenced in zip(
+            meters, interval.true_kwh.tolist(), interval.reported_kwh.tolist(),
+            interval.silenced.tolist()):
+        frtu = node_frtu.get(meter.node, "")
         yield [
             interval.index,
-            reading.meter_id,
-            reading.node,
-            f"{reading.true_kwh:.6f}",
-            "" if reading.reported_kwh is None else f"{reading.reported_kwh:.6f}",
+            meter.meter_id,
+            meter.node,
+            f"{true_kwh:.6f}",
+            "" if silenced else f"{reported_kwh:.6f}",
             frtu,
             f"{frtu_kwh[frtu]:.6f}" if frtu else "",
         ]
@@ -562,11 +564,11 @@ def test_sim_run_history_equals_the_row_builder(tmp_path, monkeypatch, capsys, v
     intervals = []
     real = cli.simulate_intervals
 
-    def simulate(topo, states, *args, **kwargs):
+    def simulate(topo, states, meters, *args, **kwargs):
         if vr is not None:
             states = states_from_string(vr + "1", topo)
-        for interval in real(topo, states, *args, **kwargs):
-            intervals.append(interval)
+        for interval in real(topo, states, meters, *args, **kwargs):
+            intervals.append((interval, meters, frtu_coverage(topo, states)))
             yield interval
 
     monkeypatch.setattr(cli, "simulate_intervals", simulate)
@@ -576,8 +578,8 @@ def test_sim_run_history_equals_the_row_builder(tmp_path, monkeypatch, capsys, v
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(cli.HISTORY_COLUMNS)
-    for interval in intervals:
-        writer.writerows(reference_history_rows(interval))
+    for interval, meters, coverage in intervals:
+        writer.writerows(reference_history_rows(interval, meters, coverage))
     assert out.read_bytes().decode("utf-8") == expected.getvalue()
     rows = list(csv.DictReader(io.StringIO(expected.getvalue())))
     assert {r["meter_id"] for r in rows} == {m["meter_id"] for m in AWKWARD_METERS}
@@ -605,13 +607,14 @@ def test_history_text_keeps_a_negative_zero_report():
         CustomerMeter("M-5c", 5, 10.0),
         CustomerMeter("M-2", 2, 10.0, Tamper(TamperKind.SCALE, 1.0)),
     ]
-    interval = simulate_interval(
-        t, states_from_string("1110011", t), meters, seed=3, noise=0.1, index=2)
+    states = states_from_string("1110011", t)
+    interval = simulate_interval(t, states, meters, seed=3, noise=0.1, index=2)
     prefixes = [cli._csv_line(m.meter_id, m.node, "").removesuffix("\r\n")
                 for m in meters]
     text = cli._history_text(interval, prefixes)
     expected = io.StringIO()
-    csv.writer(expected).writerows(reference_history_rows(interval))
+    csv.writer(expected).writerows(
+        reference_history_rows(interval, meters, frtu_coverage(t, states)))
     assert text == expected.getvalue()
     rows = list(csv.reader(io.StringIO(text)))
     assert [row[4] for row in rows[:3]] == ["-0.000000", "-0.000000", "0.000000"]
@@ -637,6 +640,76 @@ def test_exit_input_on_wrong_vr_length():
 
 def test_exit_input_on_junk_vr_characters():
     assert main(["topo", "energize", CT8, "--vr", "11x0111"]) == 1
+
+
+def _drop(items, index, key):
+    return lambda doc: items(doc)[index].pop(key)
+
+
+def _put(items, index, value):
+    return lambda doc: items(doc).__setitem__(index, value)
+
+
+def _meters(doc):
+    return doc["scenario"]["meters"]
+
+
+def _nodes(doc):
+    return doc["topology"]["nodes"]
+
+
+def _edges(doc):
+    return doc["topology"]["edges"]
+
+
+# (how to break tamper_node5.json or ct8.json, the message sim run exits 1 with)
+MALFORMED_ITEMS = [
+    (lambda doc: _meters(doc)[3]["tamper"].pop("mode"), 'meter M-05 tamper is missing "mode"'),
+    (lambda doc: _meters(doc)[3].update(tamper="scale"),
+     "meter M-05 tamper must be a JSON object, got 'scale'"),
+    (lambda doc: _meters(doc)[3].update(tamper=["scale", 0.0]),
+     "meter M-05 tamper must be a JSON object, got ['scale', 0.0]"),
+    (_drop(_meters, 0, "base_load_kwh"), 'meter M-02 is missing "base_load_kwh"'),
+    (_drop(_meters, 1, "node"), 'meter M-03 is missing "node"'),
+    (_drop(_meters, 2, "meter_id"), 'meter at position 3 is missing "meter_id"'),
+    (_put(_meters, 4, "M-06"), "meter at position 5 must be a JSON object, got 'M-06'"),
+    (_put(_meters, 0, None), "meter at position 1 must be a JSON object, got None"),
+    (lambda doc: doc["scenario"].pop("seed"), 'scenario.json is missing "seed"'),
+    (lambda doc: doc["scenario"].pop("topology"), 'scenario.json is missing "topology"'),
+    (lambda doc: doc["scenario"].pop("meters"), 'scenario.json is missing "meters"'),
+    (lambda doc: doc.update(scenario=[]), "scenario.json must be a JSON object, got []"),
+    (lambda doc: doc.update(topology=[]), "topology must be a JSON object, got []"),
+    (lambda doc: doc.update(topology="x"), "topology must be a JSON object, got 'x'"),
+    (_drop(_edges, 1, "from"), 'edge 2 is missing "from"'),
+    (_drop(_edges, 6, "to"), 'edge 7 is missing "to"'),
+    (_drop(_edges, 1, "id"), 'edge at position 2 is missing "id"'),
+    (_put(_edges, 3, [3, 5]), "edge at position 4 must be a JSON object, got [3, 5]"),
+    (_drop(_nodes, 2, "id"), 'node at position 3 is missing "id"'),
+    (_put(_nodes, 1, "load"), "node at position 2 must be a JSON object, got 'load'"),
+]
+
+
+@pytest.mark.parametrize("command", [["sim", "run"], ["localize", "run"]])
+@pytest.mark.parametrize("breaks, message", MALFORMED_ITEMS,
+                         ids=[message for _, message in MALFORMED_ITEMS])
+def test_exit_input_naming_a_missing_field_or_a_non_object_item(
+        tmp_path, capsys, command, breaks, message):
+    doc = {"scenario": json.loads((SCENARIO_DIR / "tamper_node5.json").read_text()),
+           "topology": _ct8_spec()}
+    breaks(doc)
+    if isinstance(doc["scenario"], dict) and "topology" in doc["scenario"]:
+        doc["scenario"]["topology"] = "topo.json"
+    _write_json(tmp_path / "topo.json", doc["topology"])
+    _write_json(tmp_path / "scenario.json", doc["scenario"])
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command[0] == "sim" else ["--out-dir", str(out)]
+    assert main([*command, str(tmp_path / "scenario.json"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed input: ") and err.rstrip().endswith(message), err
+    assert not out.exists()
+    if message.startswith(("topology", "edge", "node")):
+        assert main(["topo", "validate", str(tmp_path / "topo.json")]) == 1
+        assert capsys.readouterr().err == f"error: malformed input: {message}\n"
 
 
 def test_exit_input_on_missing_scenario_key(tmp_path):

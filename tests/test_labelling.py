@@ -218,8 +218,8 @@ def test_simulation_powers_what_a_substation_or_dg_reaches():
             meters = [CustomerMeter(f"M-{n}", n, 1.0) for n in sorted(topo.load_ids)]
             interval = simulate_interval(topo, states, meters, seed=seed)
             dark = reference_validate(topo, states)[1]
-            for reading in interval.readings:
-                assert (reading.true_kwh == 0.0) == (reading.node in dark)
+            for m, true_kwh in zip(meters, interval.true_kwh.tolist()):
+                assert (true_kwh == 0.0) == (m.node in dark)
 
 
 @pytest.mark.parametrize("dg", [True, False])
@@ -320,13 +320,13 @@ def test_multi_node_dg_island_keeps_its_load_out_of_every_aggregate():
     states = states_from_string("1110101", t)
     meters = [CustomerMeter(f"M-{n:02d}", n, 10.0) for n in range(2, 8)]
     interval = simulate_interval(t, states, meters, seed=3)
-    true = {r.node: r.true_kwh for r in interval.readings}
+    true = {m.node: true_kwh for m, true_kwh in zip(meters, interval.true_kwh.tolist())}
     assert true == {2: 10.0, 3: 10.0, 4: 10.0, 5: 10.0, 6: 10.0, 7: 10.0}
-    for fr in interval.frtu_readings:
-        assert not fr.covered_nodes & {5, 6}
-    assert interval.frtu("FRTU_1").covered_nodes == {2, 3, 4}
-    assert interval.frtu("FRTU_2").covered_nodes == {7}
-    assert interval.frtu("FRTU_2").aggregate_kwh == pytest.approx(10.0)
+    assert frtu_coverage(t, states) == {"FRTU_1": {2, 3, 4}, "FRTU_2": {7}}
+    # Meters on nodes 2-7 in order: the island's nodes 5 and 6 have no FRTU.
+    assert interval.frtus == ("FRTU_1", "FRTU_2")
+    assert interval.frtu_index.tolist() == [0, 0, 0, -1, -1, 1]
+    assert interval.aggregate_kwh[1] == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("intervals", [1, 5])

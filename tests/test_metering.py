@@ -1,13 +1,14 @@
 """Metering simulation, tampering, and the discrepancy trigger.
 
 ``reference_simulate_interval`` is the per-meter loop the columnar
-simulator replaced: one ``MeterReading`` per meter, then one sum per FRTU
-over the readings it meters. ``simulate_interval`` must give the same
-readings, the same FRTU sums under ``==`` and the same placement errors,
-and ``simulate_intervals`` over several indices must give what one
-``simulate_interval`` call per index gives. ``SimulationOracle`` must give
-at every state, in any read order, the alarms and errors of one
-``simulate_interval`` at that state.
+simulator replaced: one reading per meter, then one sum per FRTU over the
+readings it meters. ``simulate_interval``'s columns must give the same
+readings, its ``frtus`` the same FRTUs and its sums the same values under
+``==``, with the same placement errors, and ``simulate_intervals`` over
+several indices must give what one ``simulate_interval`` call per index
+gives. ``SimulationOracle`` must give at every state, in any read order,
+the alarms and errors of one ``simulate_interval`` at that state, where
+``detect(feeder_discrepancy(...))`` applies the alarm rule.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsleuth import cli, metering
+from gridsleuth import cli
 from gridsleuth.energize import energized_nodes, frtu_coverage
 from gridsleuth.errors import (
     InvalidIdError,
@@ -29,19 +30,17 @@ from gridsleuth.errors import (
 )
 from gridsleuth.metering import (
     CustomerMeter,
-    FrtuReading,
-    MeterReading,
     SimulationOracle,
     Tamper,
     TamperKind,
     detect,
     feeder_discrepancy,
+    frtu_alarms,
     load_scenario,
     simulate_interval,
     simulate_intervals,
 )
 from gridsleuth.networks import ct8
-from gridsleuth.planner import localize
 from gridsleuth.topology import NodeKind, states_from_string
 from test_labelling import random_cases
 
@@ -59,18 +58,34 @@ def meters_flat(tamper_node=None, tamper=None):
     return out
 
 
+def at_node(interval, node):
+    """(true kWh, reported kWh or None if silenced) of ``meters_flat``'s
+    meter on ``node``."""
+    i = node - 2
+    reported = None if interval.silenced[i] else interval.reported_kwh[i]
+    return interval.true_kwh[i], reported
+
+
+def sums(interval, frtu):
+    """(aggregate, reported sum) of ``frtu`` in ``interval``."""
+    i = interval.frtus.index(frtu)
+    return interval.aggregate_kwh[i], interval.reported_sum_kwh[i]
+
+
 def test_clean_interval_balances():
     t = ct8()
     interval = simulate_interval(t, t.normal_states(), meters_flat(), seed=1)
-    for fr in interval.frtu_readings:
-        assert fr.aggregate_kwh == pytest.approx(fr.reported_sum_kwh)
-        assert feeder_discrepancy(interval, fr.frtu) == 0.0
+    assert interval.frtus == ("FRTU_1", "FRTU_2")
+    for frtu in interval.frtus:
+        aggregate, reported_sum = sums(interval, frtu)
+        assert aggregate == pytest.approx(reported_sum)
+        assert feeder_discrepancy(interval, frtu) == 0.0
 
 
 def test_zero_noise_draws_exact_base_load():
     t = ct8()
     interval = simulate_interval(t, t.normal_states(), meters_flat(), seed=9)
-    assert all(r.true_kwh == 10.0 for r in interval.readings)
+    assert interval.true_kwh.tolist() == [10.0] * 6
 
 
 def test_scale_tamper_reduces_reported_only():
@@ -78,9 +93,7 @@ def test_scale_tamper_reduces_reported_only():
     tm = Tamper(TamperKind.SCALE, 0.5)
     interval = simulate_interval(
         t, t.normal_states(), meters_flat(5, tm), seed=1)
-    reading = next(r for r in interval.readings if r.node == 5)
-    assert reading.true_kwh == 10.0
-    assert reading.reported_kwh == 5.0
+    assert at_node(interval, 5) == (10.0, 5.0)
     # Feeder 2 carries 30 true vs 25 reported.
     assert feeder_discrepancy(interval, "FRTU_2") == pytest.approx(5 / 30)
 
@@ -89,12 +102,12 @@ def test_fixed_and_outage_tampers():
     t = ct8()
     fixed = simulate_interval(
         t, t.normal_states(), meters_flat(7, Tamper(TamperKind.FIXED, 2.5)), seed=1)
-    assert next(r for r in fixed.readings if r.node == 7).reported_kwh == 2.5
+    assert at_node(fixed, 7)[1] == 2.5
     out = simulate_interval(
         t, t.normal_states(), meters_flat(7, Tamper(TamperKind.OUTAGE)), seed=1)
-    assert next(r for r in out.readings if r.node == 7).reported_kwh is None
+    assert at_node(out, 7)[1] is None
     # A silenced meter drops out of the reported sum entirely.
-    assert out.frtu("FRTU_2").reported_sum_kwh == pytest.approx(20.0)
+    assert sums(out, "FRTU_2")[1] == pytest.approx(20.0)
 
 
 def test_detect_threshold_is_strict():
@@ -109,12 +122,11 @@ def test_island_load_consumes_but_leaves_aggregates():
     interval = simulate_interval(t, states, meters_flat(), seed=3)
     # Node 6 runs on its microgrid: true consumption recorded, but no
     # FRTU covers it.
-    r6 = next(r for r in interval.readings if r.node == 6)
-    assert r6.true_kwh == 10.0
-    assert 6 not in interval.frtu("FRTU_1").covered_nodes
-    assert 6 not in interval.frtu("FRTU_2").covered_nodes
-    assert interval.frtu("FRTU_1").aggregate_kwh == pytest.approx(40.0)
-    assert interval.frtu("FRTU_2").aggregate_kwh == pytest.approx(10.0)
+    assert at_node(interval, 6)[0] == 10.0
+    assert interval.frtu_index[6 - 2] == -1
+    assert 6 not in set().union(*frtu_coverage(t, states).values())
+    assert sums(interval, "FRTU_1")[0] == pytest.approx(40.0)
+    assert sums(interval, "FRTU_2")[0] == pytest.approx(10.0)
 
 
 def test_dark_load_consumes_nothing():
@@ -122,16 +134,14 @@ def test_dark_load_consumes_nothing():
     # Edge 5 open with the tie still open strands node 5 without DG.
     states = states_from_string("1110011", t)
     interval = simulate_interval(t, states, meters_flat(), seed=3)
-    r5 = next(r for r in interval.readings if r.node == 5)
-    assert r5.true_kwh == 0.0
-    assert r5.reported_kwh == 0.0
+    assert at_node(interval, 5) == (0.0, 0.0)
 
 
 def test_loss_factor_inflates_aggregate():
     t = ct8()
     interval = simulate_interval(
         t, t.normal_states(), meters_flat(), seed=1, loss_factor=0.05)
-    assert interval.frtu("FRTU_2").aggregate_kwh == pytest.approx(31.5)
+    assert sums(interval, "FRTU_2")[0] == pytest.approx(31.5)
     # Technical losses alone must not trip a 20% trigger.
     assert not detect(feeder_discrepancy(interval, "FRTU_2"))
 
@@ -142,8 +152,7 @@ def test_zero_aggregate_with_reports_raises():
     # the feeder carries nothing, the books say otherwise.
     meters = [CustomerMeter("M-05", 5, 0.0, Tamper(TamperKind.FIXED, 4.0))]
     interval = simulate_interval(t, t.normal_states(), meters, seed=1)
-    assert interval.frtu("FRTU_2").aggregate_kwh == 0.0
-    assert interval.frtu("FRTU_2").reported_sum_kwh == 4.0
+    assert sums(interval, "FRTU_2") == (0.0, 4.0)
     with pytest.raises(ZeroAggregateError):
         feeder_discrepancy(interval, "FRTU_2")
 
@@ -176,8 +185,8 @@ def test_meter_placement_errors_follow_meter_order():
 def test_unknown_frtu_lookup():
     t = ct8()
     interval = simulate_interval(t, t.normal_states(), meters_flat(), seed=1)
-    with pytest.raises(UnknownFrtuError):
-        interval.frtu("FRTU_9")
+    with pytest.raises(UnknownFrtuError, match="^no FRTU named 'FRTU_9' in this interval$"):
+        feeder_discrepancy(interval, "FRTU_9")
 
 
 def test_draws_deterministic_per_seed_and_interval():
@@ -185,8 +194,8 @@ def test_draws_deterministic_per_seed_and_interval():
     a = simulate_interval(t, t.normal_states(), meters_flat(), seed=5, noise=0.1, index=3)
     b = simulate_interval(t, t.normal_states(), meters_flat(), seed=5, noise=0.1, index=3)
     c = simulate_interval(t, t.normal_states(), meters_flat(), seed=5, noise=0.1, index=4)
-    assert [r.true_kwh for r in a.readings] == [r.true_kwh for r in b.readings]
-    assert [r.true_kwh for r in a.readings] != [r.true_kwh for r in c.readings]
+    assert a.true_kwh.tolist() == b.true_kwh.tolist()
+    assert a.true_kwh.tolist() != c.true_kwh.tolist()
 
 
 def test_draws_independent_of_switch_states():
@@ -195,9 +204,9 @@ def test_draws_independent_of_switch_states():
     a = simulate_interval(t, t.normal_states(), meters_flat(), seed=5, noise=0.1)
     b = simulate_interval(
         t, states_from_string("1111001", t), meters_flat(), seed=5, noise=0.1)
-    for ra, rb in zip(a.readings, b.readings):
-        if rb.true_kwh != 0.0:
-            assert ra.true_kwh == rb.true_kwh
+    for true_a, true_b in zip(a.true_kwh.tolist(), b.true_kwh.tolist()):
+        if true_b != 0.0:
+            assert true_a == true_b
 
 
 @given(
@@ -210,8 +219,8 @@ def test_noise_bounds_respected(noise, seed, index):
     t = ct8()
     interval = simulate_interval(
         t, t.normal_states(), meters_flat(), seed=seed, noise=noise, index=index)
-    for r in interval.readings:
-        assert 10.0 * (1 - noise) <= r.true_kwh <= 10.0 * (1 + noise)
+    for true_kwh in interval.true_kwh.tolist():
+        assert 10.0 * (1 - noise) <= true_kwh <= 10.0 * (1 + noise)
 
 
 def test_scenario_loading():
@@ -284,8 +293,8 @@ def read_outcome(read):
 def simulated_alarms(topo, states, meters, seed, threshold, **kw):
     """Alarms of one interval simulated at ``states`` itself."""
     interval = simulate_interval(topo, states, meters, seed, **kw)
-    return {fr.frtu: detect(feeder_discrepancy(interval, fr.frtu), threshold)
-            for fr in interval.frtu_readings}
+    return {frtu: detect(feeder_discrepancy(interval, frtu), threshold)
+            for frtu in interval.frtus}
 
 
 def assert_oracle_matches_simulation(topo, order, meters, seed, threshold, **kw):
@@ -352,7 +361,9 @@ def test_oracle_raises_placement_errors_on_first_read(bad, error):
 
 def reference_simulate_interval(topo, states, meters, seed, *, noise=0.0,
                                 loss_factor=0.0, index=0):
-    """(readings, FRTU readings) from one ``MeterReading`` per meter."""
+    """(readings, FRTU sums) from one reading per meter: each reading is
+    (true kWh, reported kWh or None, covering FRTU or None), and the sums
+    are (FRTU names, aggregates, reported sums)."""
     states = topo.check_states(states)
     loads = topo.load_ids
     for m in meters:
@@ -362,6 +373,8 @@ def reference_simulate_interval(topo, states, meters, seed, *, noise=0.0,
                 f"meter {m.meter_id} placed on non-load node {m.node}")
     powered = energized_nodes(
         topo, states, topo.source_vector() | topo.dg_vector()).tolist()
+    coverage = sorted(frtu_coverage(topo, states).items())
+    frtu_of = {node: frtu for frtu, covered in coverage for node in covered}
     rng = np.random.default_rng([seed, index])
     draws = rng.uniform(1.0 - noise, 1.0 + noise, size=len(meters))
     readings = []
@@ -375,19 +388,25 @@ def reference_simulate_interval(topo, states, meters, seed, *, noise=0.0,
             reported = m.tamper.value
         else:
             reported = None
-        readings.append(MeterReading(m.meter_id, m.node, true_kwh, reported))
-    frtu_readings = []
-    for frtu, covered in sorted(frtu_coverage(topo, states).items()):
-        mine = [r for r in readings if r.node in covered]
-        frtu_readings.append(FrtuReading(
-            frtu=frtu,
-            edge=topo.frtu_edges[frtu],
-            aggregate_kwh=left_to_right_sum(r.true_kwh for r in mine) * (1.0 + loss_factor),
-            reported_sum_kwh=left_to_right_sum(
-                r.reported_kwh for r in mine if r.reported_kwh is not None),
-            covered_nodes=covered,
-        ))
-    return tuple(readings), tuple(frtu_readings)
+        readings.append((true_kwh, reported, frtu_of.get(m.node)))
+    aggregate, reported_sum = [], []
+    for frtu, covered in coverage:
+        mine = [r for m, r in zip(meters, readings) if m.node in covered]
+        aggregate.append(left_to_right_sum(r[0] for r in mine) * (1.0 + loss_factor))
+        reported_sum.append(left_to_right_sum(r[1] for r in mine if r[1] is not None))
+    return readings, (tuple(frtu for frtu, _ in coverage), aggregate, reported_sum)
+
+
+def interval_readings(interval):
+    """``reference_simulate_interval``'s (readings, FRTU sums), read from
+    ``interval``'s columns, ``frtus`` and sums."""
+    readings = [
+        (true_kwh, None if silenced else reported, interval.frtus[j] if j >= 0 else None)
+        for true_kwh, reported, silenced, j in zip(
+            interval.true_kwh.tolist(), interval.reported_kwh.tolist(),
+            interval.silenced.tolist(), interval.frtu_index.tolist())
+    ]
+    return readings, (interval.frtus, interval.aggregate_kwh, interval.reported_sum_kwh)
 
 
 def left_to_right_sum(values):
@@ -418,14 +437,14 @@ def random_meters(topo, rng):
 
 
 def simulation_outcome(simulate, topo, states, meters, **kw):
-    """(readings, FRTU readings) of one interval, or the error's type and message."""
+    """(readings, FRTU sums) of one interval, or the error's type and message."""
     try:
         got = simulate(topo, states, meters, **kw)
     except (InvalidIdError, UnknownNodeError) as exc:
         return type(exc), str(exc)
     if isinstance(got, tuple):
         return got
-    return got.readings, got.frtu_readings
+    return interval_readings(got)
 
 
 def simulation_cases(seed):
@@ -441,11 +460,11 @@ def simulation_cases(seed):
 
 
 def interval_columns(simulate):
-    """(index, readings, FRTU readings, column bytes) of each interval that
+    """(index, readings, FRTU sums, column bytes) of each interval that
     ``simulate()`` returns, or the error's type and message."""
     try:
         return [
-            (got.index, got.readings, got.frtu_readings,
+            (got.index, *interval_readings(got),
              *(col.tobytes() for col in (got.true_kwh, got.reported_kwh,
                                          got.silenced, got.frtu_index)))
             for got in simulate()
@@ -460,6 +479,13 @@ def test_columnar_simulation_matches_per_meter_loop(seed):
         got = simulation_outcome(simulate_interval, topo, states, meters, **kw)
         want = simulation_outcome(reference_simulate_interval, topo, states, meters, **kw)
         assert got == want
+        if isinstance(want[0], list):
+            # The oracle's alarm rule on these sums, against detect per FRTU.
+            frtus, aggregate, reported_sum = want[1]
+            for threshold in (0.0, 0.05):
+                assert read_outcome(lambda: frtu_alarms(
+                    frtus, aggregate, reported_sum, threshold)) == read_outcome(
+                    lambda: simulated_alarms(topo, states, meters, threshold=threshold, **kw))
         # One state simulated for 1-3 intervals at once equals one call per
         # interval, errors included.
         n = 1 + kw["index"] % 3
@@ -480,43 +506,20 @@ def test_simulation_cases_cover_tampers_dark_loads_islands_and_errors():
             if outcome[0] in (InvalidIdError, UnknownNodeError):
                 seen[outcome[0].__name__] += 1
                 continue
-            readings, frtus = outcome
+            readings, _ = outcome
+            coverage = frtu_coverage(topo, states).values()
             seen["noise"] += kw["noise"] > 0
             seen["losses"] += kw["loss_factor"] > 0
             for m in meters:
                 if m.tamper is not None:
                     seen[m.tamper.kind.value] += 1
-            covered = set().union(*(fr.covered_nodes for fr in frtus))
-            seen["dark"] += any(r.true_kwh == 0.0 for r in readings)
-            seen["island"] += any(r.true_kwh > 0.0 and r.node not in covered
-                                  for r in readings)
-            seen["empty FRTU"] += any(not fr.covered_nodes for fr in frtus)
+            seen["dark"] += any(true_kwh == 0.0 for true_kwh, _, _ in readings)
+            seen["island"] += any(true_kwh > 0.0 and frtu is None
+                                  for true_kwh, _, frtu in readings)
+            seen["empty FRTU"] += any(not covered for covered in coverage)
             seen["unmetered FRTU"] += any(
-                fr.covered_nodes and not {r.node for r in readings} & fr.covered_nodes
-                for fr in frtus)
+                covered and not {m.node for m in meters} & covered for covered in coverage)
     assert len(seen) == 11 and min(seen.values()) >= 20, seen
-
-
-def test_sim_run_and_oracle_build_no_meter_reading(tmp_path, monkeypatch, capsys):
-    built = []
-    real = metering.MeterReading
-
-    def counting(**fields):
-        built.append(fields["meter_id"])
-        return real(**fields)
-
-    monkeypatch.setattr(metering, "MeterReading", counting)
-    scenario = str(SCENARIO_DIR / "tamper_node5.json")
-    assert cli.main(["sim", "run", scenario, "--out", str(tmp_path / "h.csv")]) == 0
-    sc = load_scenario(scenario)
-    oracle = SimulationOracle(sc.topology, sc.meters, sc.seed, threshold=sc.threshold)
-    report = localize(sc.topology, sc.alarm_edge, oracle)
-    assert report.final_suspects == (5,)
-    assert built == []
-    interval = simulate_interval(sc.topology, sc.topology.normal_states(), sc.meters, 1)
-    assert len(interval.readings) == len(built) == len(sc.meters)
-    assert interval.readings is interval.readings
-    assert len(built) == len(sc.meters)
 
 
 # ------------------------------------------------------- scenario checking

@@ -278,8 +278,8 @@ def _simulated_top_meter(run_seed: int) -> tuple[str, str]:
         ]
         interval = simulate_interval(
             topo, states, meters, seed=run_seed, noise=0.05, index=t)
-        for r in interval.readings:
-            reported[r.meter_id].append(r.reported_kwh)
+        for m, reported_kwh in zip(meters, interval.reported_kwh.tolist()):
+            reported[m.meter_id].append(reported_kwh)
 
     scores = [score_window(m, 5, [10.0] * n_intervals, reported[m]) for m in ids]
     return rank_meters(5, scores)[0].meter_id, tampered
