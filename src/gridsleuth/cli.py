@@ -131,7 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_seed(file_seed: int, flag_seed: int | None) -> int:
     env = os.environ.get("GRIDSLEUTH_SEED")
     if env is not None:
-        return seed_field("GRIDSLEUTH_SEED", env)
+        try:
+            seed = int(env)  # text, which ``seed_field`` would refuse
+        except ValueError:
+            raise ValueError(f"GRIDSLEUTH_SEED must be an integer, got {env!r}") from None
+        return seed_field("GRIDSLEUTH_SEED", seed)
     if flag_seed is not None:
         return seed_field("--seed", flag_seed)
     return file_seed

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -21,7 +23,15 @@ import numpy as np
 
 from .energize import energized_nodes, frtu_coverage
 from .errors import UnknownFrtuError, UnknownNodeError, ZeroAggregateError
-from .topology import Topology, enum_field, field_error, int_field, item_name, load_topology
+from .topology import (
+    Topology,
+    enum_field,
+    field_error,
+    int_field,
+    item_name,
+    list_field,
+    load_topology,
+)
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -265,9 +275,12 @@ class Scenario:
 def _in_range(name: str, value, high: float = math.inf) -> float:
     """``value`` as a float, which must be finite and within [0, high].
 
-    A boolean raises rather than reading as 0 or 1.
+    Only a Python or numpy number passes: a boolean raises rather than
+    reading as 0 or 1, and a string, a list, an object or null raises
+    rather than being parsed by ``float()``.
     """
-    if isinstance(value, bool):
+    if type(value) not in (float, int) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a finite number in [0, {high}], got {value!r}")
     x = float(value)
     if not (math.isfinite(x) and 0.0 <= x <= high):
@@ -286,14 +299,17 @@ def seed_field(name: str, value) -> int:
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file; the topology path resolves against it.
 
+    Every number must be a JSON number, not a string, a boolean or null.
     Noise must lie in [0, 1]; losses, the threshold and base loads must be
     nonnegative, and so must tamper values and the seed; every number must
     be finite (``json`` reads ``NaN``); the seed, interval count, alarm
-    edge, ground truth and meter nodes must be integers, not booleans or
-    numbers with a fractional part; each ``meter_id`` must be a non-empty
-    string that no other meter uses; and the ground truth must list loads
-    of the topology, each once. A document, meter or tamper that is not a
-    JSON object, or lacks a required field, raises ``ValueError`` naming it.
+    edge, ground truth and meter nodes must be integers, not numbers with
+    a fractional part; each ``meter_id`` must be a non-empty string that
+    no other meter uses; ``topology`` must be a path string; and
+    ``meters`` and ``ground_truth`` must be lists, the ground truth of
+    loads of the topology, each once. A document, meter or tamper that is
+    not a JSON object, or lacks a required field, raises ``ValueError``
+    naming it.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -302,10 +318,13 @@ def load_scenario(path: str | Path) -> Scenario:
         topology, items, seed = raw["topology"], raw["meters"], raw["seed"]
     except (KeyError, TypeError) as exc:
         raise field_error(raw, f"scenario {path}", exc.args[0]) from None
+    if not isinstance(topology, str):
+        raise ValueError(f'scenario {path} "topology" must be a file path, '
+                         f"got {reprlib.repr(topology)}")
     topo = load_topology(path.parent / topology)
     meters: list[CustomerMeter] = []
     seen: set[str] = set()
-    for pos, m in enumerate(items, start=1):
+    for pos, m in enumerate(list_field(f'scenario {path} "meters"', items), start=1):
         try:
             meter_id, node, base_load_kwh = m["meter_id"], m["node"], m["base_load_kwh"]
         except (KeyError, TypeError) as exc:
@@ -323,7 +342,8 @@ def load_scenario(path: str | Path) -> Scenario:
             base_load_kwh=_in_range(f"meter {meter_id} base_load_kwh", base_load_kwh),
             tamper=Tamper.from_dict(tamper, f"meter {meter_id} tamper") if tamper else None,
         ))
-    truth = tuple(int_field("ground_truth", n) for n in raw.get("ground_truth", ()))
+    truth = tuple(int_field("ground_truth", n) for n in
+                  list_field(f'scenario {path} "ground_truth"', raw.get("ground_truth", ())))
     for node in truth:
         if node not in topo.load_ids:
             raise ValueError(f"ground_truth node {node} is not a load of the topology")

@@ -20,15 +20,16 @@ itself.
 Each distinct switch state is labelled once, when it is first validated,
 and the oracle is asked about it at most once, on its first read: its
 visit, keyed by the switch vector's bytes as ``Topology.tree`` keys it,
-keeps the rooted tree, every FRTU's coverage, the oracle's reply and the
-bits read from it. Load transfers are branch exchanges (Civanlar et
-al., 1988; Baran & Wu, 1989): close an open tie (u, v), then open a
-sectionalizer s on the loop it makes. In the rooted tree of a radial
-state, with the sources collapsed into a virtual root, that loop is the
-tree path u -> LCA -> v, and opening s moves exactly the subtree below s
-from its feeder to the feeder of the tie's far end. So every candidate
-move is scored from subtree counts, without building or validating the
-state it would land on.
+keeps the rooted tree its validation built, the oracle's reply and the
+bits read from it. The tree is the planner's one source of every FRTU's
+coverage there (``StateTree.coverage``). Load transfers are branch
+exchanges (Civanlar et al., 1988; Baran & Wu, 1989): close an open tie
+(u, v), then open a sectionalizer s on the loop it makes. In the rooted
+tree of a radial state, with the sources collapsed into a virtual root,
+that loop is the tree path u -> LCA -> v, and opening s moves exactly
+the subtree below s from its feeder to the feeder of the tie's far end.
+So every candidate move is scored from subtree counts, without building
+or validating the state it would land on.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .energize import frtu_coverage
+# Not called here. perfbench/test_perfbench.py checks that its tracer wraps
+# ``planner.frtu_coverage``, so the name stays bound (ROADMAP item 6).
+from .energize import frtu_coverage  # noqa: F401
 from .errors import (
     InfeasibleIsolationError,
     InfeasiblePlanError,
@@ -250,11 +253,11 @@ def decode(readings: Iterable[Reading], tampered: AbstractSet[int]) -> list[Alar
 
 @dataclass
 class _Visit:
-    """One switch state: its tree and coverages, the oracle's one reply there
-    (asked for on the first read), and the alarm bits read from it."""
+    """One switch state: the tree its validation built, which holds every
+    FRTU's coverage, the oracle's one reply there (asked for on the first
+    read), and the alarm bits read from it."""
 
     tree: StateTree
-    coverage: dict[str, frozenset[int]]
     reads: dict[str, bool] = field(default_factory=dict)
     reply: Mapping[str, bool] | None = None
 
@@ -303,7 +306,7 @@ class _Planner:
         if check.ok:
             key = self.states.tobytes()
             if key not in self.visits:
-                self.visits[key] = _Visit(check.tree, frtu_coverage(self.topo, self.states))
+                self.visits[key] = _Visit(check.tree)
             self.visit = self.visits[key]
         return check
 
@@ -338,7 +341,7 @@ class _Planner:
                 f"oracle reply for switch states {self.committed[-1]} "
                 f"has no reading for {frtu}") from None
         visit.reads[frtu] = alarm
-        self.readings.append((frtu, visit.coverage[frtu], alarm))
+        self.readings.append((frtu, visit.tree.coverage[frtu], alarm))
         return alarm
 
     def consult(self, frtu: str) -> None:
@@ -376,7 +379,7 @@ class _Planner:
         self.tampered.add(node)
         self.log.append(f"resolved: node {node} is tampered")
         self.snapshot([(frtu, nodes) for frtu, nodes in open_alarms if node not in nodes])
-        for frtu in sorted(self.visit.coverage):
+        for frtu in sorted(self.visit.tree.coverage):
             self.consult(frtu)
         return self.decode_log()
 
@@ -425,9 +428,9 @@ class _Planner:
         Ties go to the alarm's own FRTU, then to the lowest breaker id.
         """
         visit, edges = self.visit, self.topo.frtu_edges
-        best = min(
-            self.split_scores(self.counts(suspects, visit.coverage), len(suspects), visit.reads),
-            key=lambda sf: (sf[0], sf[1] != origin, edges[sf[1]]), default=None)
+        counts = self.counts(suspects, visit.tree.coverage)
+        best = min(self.split_scores(counts, len(suspects), visit.reads),
+                   key=lambda sf: (sf[0], sf[1] != origin, edges[sf[1]]), default=None)
         return None if best is None else best[1]
 
     def island_nodes(self) -> set[int]:
@@ -451,15 +454,15 @@ class _Planner:
         The visited states one branch exchange away, those whose switch
         vector differs from the current one in exactly one open and one
         closed edge, are found once per call and keyed by edge to close,
-        then edge to open. A pair landing on one of them is scored against the
-        reads taken there. The others score alike whenever their outcomes
-        match, so each outcome is scored once. Returns (edge_to_close,
-        edge_to_open) or None.
+        then edge to open. A pair is scored against the reads taken at its
+        landing state, none if it was never visited, so pairs that share an
+        outcome and a landing score alike, and each such key is scored
+        once. Returns (edge_to_close, edge_to_open) or None.
         """
         frozen = self.island_nodes()
         visit = self.visit
         tampered = self.tampered
-        counts = self.counts(suspects, visit.coverage)
+        counts = self.counts(suspects, visit.tree.coverage)
         n_suspects = len(suspects)
         tree = visit.tree
         feeder = tree.feeder
@@ -468,13 +471,14 @@ class _Planner:
         tampered_below = tree.count_below(tampered) if tampered else [0] * len(feeder)
         sectionalizer = self.topo.sectionalizers
         states = self.states.tolist()
-        near: dict[int, dict[int, Mapping[str, bool]]] = {}
-        for key, landing in self.visits.items():
+        near: dict[int, dict[int, bytes]] = {}
+        for key in self.visits:
             flipped = (np.frombuffer(key, np.uint8) != self.states).nonzero()[0].tolist()
             if len(flipped) == 2 and states[flipped[0]] != states[flipped[1]]:
                 to_close, to_open = sorted(flipped, key=states.__getitem__)
-                near.setdefault(to_close + 1, {})[to_open + 1] = landing.reads
-        unread: dict[tuple[int, int, int, int], float | None] = {}  # score per outcome
+                near.setdefault(to_close + 1, {})[to_open + 1] = key
+        # Best split score per (outcome, landing key), None for no split.
+        scores: dict[tuple[tuple[int, int, int, int], bytes | None], float | None] = {}
         best: tuple[float, int, int] | None = None
         for cand in self.topo.edges:
             tie = cand.id
@@ -482,33 +486,21 @@ class _Planner:
                 continue
             if cand.u in frozen or cand.v in frozen:
                 continue
-            visited = near.get(tie, {})
+            landings = near.get(tie, {})
             for sec, below, far in tree.loop(cand.u, cand.v):
                 if not sectionalizer[sec]:
                     continue
-                outcome = (feeder[below], feeder[far],
-                           suspects_below[below], tampered_below[below])
-                read = visited.get(sec)
-                if read is not None:
-                    score = self._move_score(counts, n_suspects, outcome, read)
-                else:
-                    score = unread.get(outcome, unread)  # unread itself: not scored yet
-                    if score is unread:
-                        score = unread[outcome] = self._move_score(
-                            counts, n_suspects, outcome, {})
+                key = ((feeder[below], feeder[far],
+                        suspects_below[below], tampered_below[below]), landings.get(sec))
+                if key not in scores:
+                    outcome, landing = key
+                    read = {} if landing is None else self.visits[landing].reads
+                    scores[key] = min(self.split_scores(counts, n_suspects, read, outcome),
+                                      default=(None,))[0]
+                score = scores[key]
                 if score is not None and (best is None or (score, sec, tie) < best):
                     best = (score, sec, tie)
         return None if best is None else (best[2], best[1])
-
-    def _move_score(
-        self,
-        counts: Mapping[str, tuple[int, int]],
-        n_suspects: int,
-        outcome: tuple[int, int, int, int],
-        read: Mapping[str, bool],
-    ) -> float | None:
-        """Best split score once a branch exchange with this ``outcome`` is made."""
-        return min(self.split_scores(counts, n_suspects, read, outcome), default=(None,))[0]
 
     def restore_and_check(self) -> bool:
         """Fold an island back into the grid when progress stalls, and read it.
@@ -527,7 +519,7 @@ class _Planner:
             f"restore island {sorted(island.nodes)} to discriminate suspects")
         self.commit_group(restore_island_ops(island))
         island.restored = True
-        covering = [frtu for frtu, cov in sorted(self.visit.coverage.items())
+        covering = [frtu for frtu, cov in sorted(self.visit.tree.coverage.items())
                     if cov & island.nodes]
         if not covering:
             raise InfeasiblePlanError(
@@ -563,7 +555,7 @@ class _Planner:
         # Continuous telemetry: every FRTU's alarm bit is already on the
         # operator's board before any switching, so this sweep is free.
         first = self.visit
-        for frtu in sorted(first.coverage):
+        for frtu in sorted(first.tree.coverage):
             self.read(frtu)
         if not first.reads.get(self.alarm_frtu, False):
             # Telemetry is quiet on the requested feeder: nothing to chase.
@@ -578,7 +570,7 @@ class _Planner:
 
         # The suspect set starts as the alarmed FRTU's coverage: exactly
         # the customers it meters. DG-island loads are in no coverage.
-        self.history.append(tuple(sorted(first.coverage[self.alarm_frtu])))
+        self.history.append(tuple(sorted(first.tree.coverage[self.alarm_frtu])))
         # A contradiction on the board is named before any switching.
         open_alarms = decode(self.readings, self.tampered)
 

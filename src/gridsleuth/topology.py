@@ -11,6 +11,7 @@ node/edge order (ids are 1-based, array positions 0-based).
 from __future__ import annotations
 
 import json
+import numbers
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -208,8 +209,8 @@ def build_topology(spec: Mapping) -> Topology:
     """
     if not isinstance(spec, Mapping):
         raise ValueError(f"topology must be a JSON object, got {reprlib.repr(spec)}")
-    nodes = _parse_nodes(spec.get("nodes", ()))
-    edges = _parse_edges(spec.get("edges", ()), nodes)
+    nodes = _parse_nodes(list_field('topology "nodes"', spec.get("nodes", ())))
+    edges = _parse_edges(list_field('topology "edges"', spec.get("edges", ())), nodes)
     topo = Topology(nodes=nodes, edges=edges)
     _validate_structure(topo)
     return topo
@@ -218,18 +219,27 @@ def build_topology(spec: Mapping) -> Topology:
 def int_field(name: str, value) -> int:
     """``value`` as the integer that the input field ``name`` must hold.
 
-    A boolean, or a number with a fractional part (NaN and infinities
-    included), raises ``ValueError`` naming the field rather than being
-    truncated by ``int()``.
+    Only a number with no fractional part passes, a Python or numpy
+    integer or float. A boolean, a string, a list, an object, null, or a
+    number with a fractional part (NaN and infinities included) raises
+    ``ValueError`` naming the field rather than being parsed or truncated
+    by ``int()``.
     """
     if type(value) is int:
         return value
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def list_field(name: str, value) -> Sequence:
+    """``value`` as the JSON list (from Python, a list or a tuple) that the
+    input field ``name`` must hold; anything else raises ``ValueError``
+    naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON list, got {reprlib.repr(value)}")
+    return value
 
 
 E = TypeVar("E", bound=Enum)

@@ -4,8 +4,13 @@ Runs the 2,000 ``mesh_episodes(seed, 200)`` and 40 ``chain_episodes(seed)``
 inputs of ``perfbench`` (per seed, mesh then chain) and hashes each
 report's sorted JSON, or a raised ``GridSleuthError`` as ``Type: message``.
 The documents are concatenated in that order. Two versions of the planner
-that print the same hash produced byte-identical reports. Run from the
-repository root:
+that print the same hash produced byte-identical reports. ``main`` prints
+the count and the hash and exits 1 unless the hash is ``EXPECTED``. A
+change that only makes the planner faster or smaller must leave it alone;
+one that is meant to alter reports (a new verdict rule, say) updates
+``EXPECTED`` and explains in CHANGES.md which reports changed and why, as
+``tests/test_report_digest.py`` asks of its digests. Run from the
+repository root (about 5 s):
 
     PYTHONPATH=src python tests/report_hashes.py
 """
@@ -23,6 +28,7 @@ import inputs  # noqa: E402
 from gridsleuth.errors import GridSleuthError  # noqa: E402
 
 SEEDS = range(401, 411)
+EXPECTED = "86a5c087cd9ca43b133804f990766dc76c9275d8b31d396d9889365088c5e595"
 
 
 def results(seeds=SEEDS):
@@ -48,14 +54,18 @@ def documents(seeds=SEEDS):
             yield json.dumps(result.to_dict(), sort_keys=True)
 
 
-def main() -> None:
+def main() -> int:
     digest, count = hashlib.sha256(), 0
     for doc in documents():
         digest.update(doc.encode())
         count += 1
     print(f"{count} reports")
     print(digest.hexdigest())
+    if digest.hexdigest() != EXPECTED:
+        print(f"reports changed: expected {EXPECTED}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

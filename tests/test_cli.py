@@ -686,6 +686,40 @@ MALFORMED_ITEMS = [
     (_put(_edges, 3, [3, 5]), "edge at position 4 must be a JSON object, got [3, 5]"),
     (_drop(_nodes, 2, "id"), 'node at position 3 is missing "id"'),
     (_put(_nodes, 1, "load"), "node at position 2 must be a JSON object, got 'load'"),
+    # A number must be a JSON number: text, a list, an object or null is
+    # refused by name, not parsed, and not let through to fail unnamed.
+    (lambda doc: _meters(doc)[0].update(base_load_kwh="10"),
+     "meter M-02 base_load_kwh must be a finite number in [0, inf], got '10'"),
+    (lambda doc: _meters(doc)[1].update(node="3"), "meter M-03 node must be an integer, got '3'"),
+    (lambda doc: _meters(doc)[3]["tamper"].update(value=[0]),
+     "meter M-05 tamper value must be a finite number in [0, inf], got [0]"),
+    (lambda doc: doc["scenario"].update(noise="0.1"),
+     "noise must be a finite number in [0, 1.0], got '0.1'"),
+    (lambda doc: doc["scenario"].update(threshold="abc"),
+     "threshold must be a finite number in [0, inf], got 'abc'"),
+    (lambda doc: doc["scenario"].update(loss_factor=[1]),
+     "loss_factor must be a finite number in [0, inf], got [1]"),
+    (lambda doc: doc["scenario"].update(seed="7"), "seed must be an integer, got '7'"),
+    (lambda doc: doc["scenario"].update(seed=None), "seed must be an integer, got None"),
+    (lambda doc: doc["scenario"].update(intervals="3"), "intervals must be an integer, got '3'"),
+    (lambda doc: doc["scenario"].update(alarm_edge={"id": 7}),
+     "alarm_edge must be an integer, got {'id': 7}"),
+    (lambda doc: doc["scenario"].update(ground_truth=["5"]),
+     "ground_truth must be an integer, got '5'"),
+    (lambda doc: _edges(doc)[1].update(id="2"), "edge id must be an integer, got '2'"),
+    (lambda doc: _nodes(doc)[2].update(id=None), "node id must be an integer, got None"),
+    # Lists must be lists: a number is not iterated, a string not read
+    # character by character.
+    (lambda doc: doc["scenario"].update(meters=5), 'scenario.json "meters" must be a JSON list, got 5'),
+    (lambda doc: doc["scenario"].update(meters="M-02"),
+     "scenario.json \"meters\" must be a JSON list, got 'M-02'"),
+    (lambda doc: doc["scenario"].update(ground_truth=5),
+     'scenario.json "ground_truth" must be a JSON list, got 5'),
+    (lambda doc: doc["scenario"].update(ground_truth=None),
+     'scenario.json "ground_truth" must be a JSON list, got None'),
+    (lambda doc: doc["topology"].update(nodes=5), 'topology "nodes" must be a JSON list, got 5'),
+    (lambda doc: doc["topology"].update(edges={"id": 1}),
+     "topology \"edges\" must be a JSON list, got {'id': 1}"),
 ]
 
 
@@ -710,6 +744,32 @@ def test_exit_input_naming_a_missing_field_or_a_non_object_item(
     if message.startswith(("topology", "edge", "node")):
         assert main(["topo", "validate", str(tmp_path / "topo.json")]) == 1
         assert capsys.readouterr().err == f"error: malformed input: {message}\n"
+
+
+# (a scenario "topology" that is not a path, the message sim run exits 1
+# with); MALFORMED_ITEMS rewrites "topology" to its own file, so these
+# cases are this table's.
+MALFORMED_TOPOLOGY_PATHS = [
+    (5, 'scenario.json "topology" must be a file path, got 5'),
+    (None, 'scenario.json "topology" must be a file path, got None'),
+    (["ct8.json"], "scenario.json \"topology\" must be a file path, got ['ct8.json']"),
+]
+
+
+@pytest.mark.parametrize("command", [["sim", "run"], ["localize", "run"]])
+@pytest.mark.parametrize("topology, message", MALFORMED_TOPOLOGY_PATHS,
+                         ids=[message for _, message in MALFORMED_TOPOLOGY_PATHS])
+def test_exit_input_naming_a_topology_that_is_not_a_path(
+        tmp_path, capsys, command, topology, message):
+    doc = json.loads((SCENARIO_DIR / "tamper_node5.json").read_text())
+    doc["topology"] = topology
+    _write_json(tmp_path / "scenario.json", doc)
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command[0] == "sim" else ["--out-dir", str(out)]
+    assert main([*command, str(tmp_path / "scenario.json"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed input: ") and err.rstrip().endswith(message), err
+    assert not out.exists()
 
 
 def test_exit_input_on_missing_scenario_key(tmp_path):

@@ -33,6 +33,7 @@ from gridsleuth.metering import (
     SimulationOracle,
     Tamper,
     TamperKind,
+    _in_range,
     detect,
     feeder_discrepancy,
     frtu_alarms,
@@ -41,7 +42,7 @@ from gridsleuth.metering import (
     simulate_intervals,
 )
 from gridsleuth.networks import ct8
-from gridsleuth.topology import NodeKind, states_from_string
+from gridsleuth.topology import NodeKind, int_field, states_from_string
 from test_labelling import random_cases
 
 from pathlib import Path
@@ -622,6 +623,22 @@ def test_integer_fields_reject_booleans_and_fractions(tmp_path, capsys, field, p
     assert cli.main(["sim", "run", str(path), "--out", str(tmp_path / "h.csv")]) == 1
     assert f"{field} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
+
+
+def test_number_fields_take_python_and_numpy_numbers_only():
+    # Callers pass numpy scalars; JSON text, lists, objects and null are
+    # refused by name rather than parsed by int() or float().
+    assert int_field("n", np.int64(3)) == 3 and type(int_field("n", np.int64(3))) is int
+    assert int_field("n", np.float64(2.0)) == 2
+    assert int_field("n", 4.0) == 4
+    assert _in_range("x", np.float32(0.5)) == 0.5
+    assert _in_range("x", np.uint8(3)) == 3.0
+    assert _in_range("x", 2) == 2.0
+    for value in ("3", "", None, [3], {"n": 3}, np.bool_(True)):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            int_field("n", value)
+        with pytest.raises(ValueError, match=r"^x must be a finite number in \[0, inf\], got "):
+            _in_range("x", value)
 
 
 # (field named in the error, its allowed values, how to put an unknown value

@@ -8,6 +8,7 @@ same (close, open) pair from subtree counts alone.
 """
 
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -140,8 +141,8 @@ def random_planner(topo, rng, suspects=(2, 9), landings=(0, 4)):
         there = plan.states.copy()
         there[cand - 1], there[sec - 1] = 1, 0
         plan.visits[there.tobytes()] = _Visit(
-            validate_operating_state(topo, there).tree, frtu_coverage(topo, there),
-            {f: False for f in frtus if rng.random() < 0.6})
+            tree=validate_operating_state(topo, there).tree,
+            reads={f: False for f in frtus if rng.random() < 0.6})
     return plan, frozenset(nodes) - clean
 
 
@@ -247,8 +248,9 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     ]
     oracle = SimulationOracle(topo, meters, seed=11, threshold=0.1 / len(meters))
 
-    calls = {"validate": 0, "coverage": 0, "trees": 0, "move_score": 0,
-             "energized_in_move": 0, "trees_in_move": 0, "labels": 0}
+    calls = {"validate": 0, "coverage": 0, "coverage_builds": 0, "trees": 0,
+             "scores_in_move": 0, "energized_in_move": 0, "trees_in_move": 0,
+             "labels": 0}
     in_move = [False]
 
     def counting(name, fn):
@@ -266,6 +268,10 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
         calls["trees_in_move"] += in_move[0]
         return real_build(*args, **kwargs)
 
+    def split_scores(self, *args, **kwargs):
+        calls["scores_in_move"] += in_move[0]
+        return real_split_scores(self, *args, **kwargs)
+
     def find_move(self, suspects):
         in_move[0] = True
         try:
@@ -276,15 +282,20 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     real_energized = energize.energized_nodes
     real_build = StateTree.build
     real_find_move = _Planner.find_move
+    real_split_scores = _Planner.split_scores
     monkeypatch.setattr(planner, "validate_operating_state",
                         counting("validate", planner.validate_operating_state))
-    monkeypatch.setattr(planner, "frtu_coverage",
-                        counting("coverage", planner.frtu_coverage))
+    count_coverage = counting("coverage", energize.frtu_coverage)
+    for module in (energize, metering, planner):
+        monkeypatch.setattr(module, "frtu_coverage", count_coverage)
+    build_coverage = cached_property(
+        counting("coverage_builds", StateTree.__dict__["coverage"].func))
+    build_coverage.__set_name__(StateTree, "coverage")
+    monkeypatch.setattr(StateTree, "coverage", build_coverage)
     monkeypatch.setattr(energize, "energized_nodes", energized)
     monkeypatch.setattr(StateTree, "build", classmethod(build_tree))
     monkeypatch.setattr(_Planner, "find_move", find_move)
-    monkeypatch.setattr(_Planner, "_move_score",
-                        counting("move_score", _Planner._move_score))
+    monkeypatch.setattr(_Planner, "split_scores", split_scores)
     count_labels = counting("labels", topology.label)
     monkeypatch.setattr(topology, "label", count_labels)
     monkeypatch.setattr(energize, "label", count_labels)
@@ -295,7 +306,10 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     # committed_states starts with the initial state: one validation for
     # it and one per committed switching group.
     assert calls["validate"] == len(report.committed_states)
-    assert calls["coverage"] <= len(set(report.committed_states))
+    # The planner reads each state's coverage from the tree its validation
+    # built; only the oracle's one simulation asks ``frtu_coverage``.
+    assert calls["coverage"] <= 1
+    assert calls["coverage_builds"] <= len(set(report.committed_states))
     assert calls["energized_in_move"] == 0
     # One tree per validation: the DG isolation reads its cut state's tree
     # through the same memo, and here it cuts nothing. The move search
@@ -307,9 +321,9 @@ def test_call_counts_on_thousand_node_chain(monkeypatch):
     # tree, so each distinct committed state is labelled once. Labelling
     # per reader made 41 labellings here: four per state plus the cut.
     assert calls["labels"] <= len(set(report.committed_states))
-    # A pair whose landing state was never read is scored once per
-    # distinct outcome, not once per pair (that made 8,956 scorings here).
-    assert calls["move_score"] <= 1031
+    # Pairs are scored once per distinct (outcome, landing state), not
+    # once per pair (that made 8,956 scorings here).
+    assert calls["scores_in_move"] <= 1031
 
 
 def test_one_simulated_interval_per_oracle(monkeypatch):

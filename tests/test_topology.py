@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ def test_ct8_shape():
     assert t.node(6).has_dg
     assert t.edge(4).kind is EdgeKind.TIE
     assert t.frtu_map == {1: "FRTU_1", 7: "FRTU_2"}
+
+
+def test_builtin_ct8_is_the_scenario_file():
+    # The network is written twice: networks.CT8_SPEC for code, and
+    # scenarios/ct8.json for the scenario files and the CLI.
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "ct8.json"
+    assert json.loads(path.read_text()) == CT8_SPEC
 
 
 def test_normal_states_and_vectors():
